@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use crate::wire::WireError;
+
 /// Typed refusal codes a fleet node sends in a `Nak` frame.
 ///
 /// Codes are part of the wire protocol (normative table in
@@ -51,8 +53,8 @@ impl NakCode {
     ///
     /// # Errors
     ///
-    /// [`CommsError::Malformed`] for unknown code bytes.
-    pub fn from_wire(byte: u8) -> Result<Self, CommsError> {
+    /// [`WireError::Malformed`] for unknown code bytes.
+    pub fn from_wire(byte: u8) -> Result<Self, WireError> {
         match byte {
             1 => Ok(NakCode::Malformed),
             2 => Ok(NakCode::TooLarge),
@@ -60,7 +62,7 @@ impl NakCode {
             4 => Ok(NakCode::ChecksumMismatch),
             5 => Ok(NakCode::Unsupported),
             6 => Ok(NakCode::Internal),
-            _ => Err(CommsError::Malformed("unknown nak code byte")),
+            _ => Err(WireError::Malformed("unknown nak code byte")),
         }
     }
 
@@ -94,45 +96,8 @@ impl fmt::Display for NakCode {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CommsError {
-    /// Socket or filesystem I/O failed.
-    Io(String),
-    /// The frame does not start with the `GHSF` magic.
-    BadMagic,
-    /// The frame was written by an unknown protocol version.
-    UnsupportedVersion {
-        /// Version found in the header.
-        found: u8,
-        /// Newest version this build speaks.
-        supported: u8,
-    },
-    /// The header names a frame type this build does not know.
-    UnknownFrameType(u8),
-    /// The header's reserved bytes were not zero.
-    ReservedNonZero,
-    /// The frame declares a payload longer than the configured cap —
-    /// rejected before any payload byte is read, so a hostile declared
-    /// length can never force an allocation.
-    FrameTooLarge {
-        /// Declared payload length.
-        declared: usize,
-        /// Configured maximum.
-        max: usize,
-    },
-    /// The payload ended before a declared structure was complete.
-    Truncated {
-        /// Bytes the structure needs.
-        needed: usize,
-        /// Bytes actually available.
-        got: usize,
-    },
-    /// The peer disconnected mid-frame (clean EOF *between* frames is
-    /// not an error).
-    Disconnected,
-    /// The peer started a frame but did not finish it within the frame
-    /// deadline — the slow-loris defence. The connection is closed.
-    TimedOut,
-    /// The payload parses but violates a structural invariant.
-    Malformed(&'static str),
+    /// A framing, payload or socket failure (shared with GHSD).
+    Wire(WireError),
     /// Publisher side: the node answered with a `Nak` frame.
     Nak {
         /// Typed refusal code.
@@ -153,28 +118,7 @@ pub enum CommsError {
 impl fmt::Display for CommsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CommsError::Io(msg) => write!(f, "fleet I/O error: {msg}"),
-            CommsError::BadMagic => write!(f, "not a GHSF frame (bad magic)"),
-            CommsError::UnsupportedVersion { found, supported } => write!(
-                f,
-                "GHSF version {found} is not supported (this build speaks <= {supported})"
-            ),
-            CommsError::UnknownFrameType(t) => write!(f, "unknown GHSF frame type {t:#04x}"),
-            CommsError::ReservedNonZero => {
-                write!(f, "reserved header bytes must be zero")
-            }
-            CommsError::FrameTooLarge { declared, max } => write!(
-                f,
-                "frame declares a {declared}-byte payload, above the {max}-byte cap"
-            ),
-            CommsError::Truncated { needed, got } => {
-                write!(f, "frame payload truncated: need {needed} bytes, got {got}")
-            }
-            CommsError::Disconnected => write!(f, "peer disconnected mid-frame"),
-            CommsError::TimedOut => {
-                write!(f, "frame not completed within the frame deadline")
-            }
-            CommsError::Malformed(reason) => write!(f, "malformed frame: {reason}"),
+            CommsError::Wire(e) => write!(f, "{e}"),
             CommsError::Nak { code, detail } => {
                 write!(f, "node refused the request ({code}): {detail}")
             }
@@ -187,9 +131,15 @@ impl fmt::Display for CommsError {
 
 impl std::error::Error for CommsError {}
 
+impl From<WireError> for CommsError {
+    fn from(e: WireError) -> Self {
+        CommsError::Wire(e)
+    }
+}
+
 impl From<std::io::Error> for CommsError {
     fn from(e: std::io::Error) -> Self {
-        CommsError::Io(e.to_string())
+        CommsError::Wire(e.into())
     }
 }
 
@@ -221,13 +171,6 @@ mod tests {
 
     #[test]
     fn display_messages_are_actionable() {
-        assert!(CommsError::BadMagic.to_string().contains("magic"));
-        assert!(CommsError::FrameTooLarge {
-            declared: 42,
-            max: 7
-        }
-        .to_string()
-        .contains("42"));
         assert!(CommsError::Nak {
             code: NakCode::ChecksumMismatch,
             detail: "fnv disagrees".into()

@@ -69,6 +69,7 @@ pub mod error;
 pub mod frame;
 pub mod node;
 pub mod publish;
+pub mod wire;
 
 pub use error::{CommsError, NakCode};
 pub use frame::{
@@ -80,3 +81,4 @@ pub use node::{
     DEFAULT_FRAME_TIMEOUT, DEFAULT_MAX_BUNDLE_LEN,
 };
 pub use publish::{PublishEvent, ReplicateReport, Replicator, SpoolPublisher, DEFAULT_IO_TIMEOUT};
+pub use wire::{FrameKind, WireError};

@@ -34,21 +34,19 @@
 //! provably corrupt and must not seed a resume.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mathkit::bytes::fnv1a64;
 
 use crate::error::{CommsError, NakCode};
-use crate::frame::{
-    decode_request, encode_response, FrameHeader, Request, Response, DEFAULT_MAX_FRAME_LEN,
-    HEADER_LEN,
-};
+use crate::frame::{decode_request, encode_response, Request, Response, DEFAULT_MAX_FRAME_LEN};
+use crate::wire::{self, WireError};
 
 /// Default cap on an offered bundle's total length (64 MiB — a trained
 /// engine bundle on the acceptance corpus is well under 1 MiB).
@@ -157,22 +155,17 @@ impl FleetNodeConfig {
 ///
 /// # Errors
 ///
-/// [`CommsError::Malformed`] naming the violated rule.
-pub fn validate_tenant(tenant: &str) -> Result<(), CommsError> {
-    if tenant.is_empty() {
-        return Err(CommsError::Malformed("empty tenant name"));
-    }
-    if tenant.len() > crate::frame::MAX_TENANT_LEN {
-        return Err(CommsError::Malformed("tenant name longer than 255 bytes"));
-    }
+/// [`WireError::Malformed`] naming the violated rule.
+pub fn validate_tenant(tenant: &str) -> Result<(), WireError> {
+    wire::check_tenant_len(tenant.len())?;
     if tenant == "." || tenant == ".." {
-        return Err(CommsError::Malformed("tenant name must not be . or .."));
+        return Err(WireError::Malformed("tenant name must not be . or .."));
     }
     if tenant.starts_with('.') {
-        return Err(CommsError::Malformed("tenant name must not start with ."));
+        return Err(WireError::Malformed("tenant name must not start with ."));
     }
     if tenant.contains(['/', '\\', '\0']) {
-        return Err(CommsError::Malformed(
+        return Err(WireError::Malformed(
             "tenant name must not contain path separators or NUL",
         ));
     }
@@ -220,8 +213,8 @@ impl FleetNode {
     ///
     /// # Errors
     ///
-    /// [`CommsError::Io`] when the spool can't be created or the
-    /// address can't be bound.
+    /// [`CommsError::Wire`] ([`WireError::Io`]) when the spool can't be
+    /// created or the address can't be bound.
     pub fn start(
         config: FleetNodeConfig,
         state_fn: StateFn,
@@ -235,8 +228,12 @@ impl FleetNode {
         let accept_stop = Arc::clone(&stop);
         let accept_thread = thread::Builder::new()
             .name("ghsf-accept".to_string())
-            .spawn(move || accept_loop(listener, config, state_fn, event_fn, accept_stop))
-            .map_err(|e| CommsError::Io(e.to_string()))?;
+            .spawn(move || {
+                let conn_stop = Arc::clone(&accept_stop);
+                wire::accept_until(&listener, &accept_stop, move |stream| {
+                    handle_connection(stream, &config, &state_fn, &event_fn, &conn_stop);
+                });
+            })?;
         Ok(FleetNode {
             local_addr,
             stop,
@@ -264,98 +261,13 @@ impl Drop for FleetNode {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    config: FleetNodeConfig,
-    state_fn: StateFn,
-    event_fn: EventFn,
-    stop: Arc<AtomicBool>,
-) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let config = config.clone();
-                let state_fn = Arc::clone(&state_fn);
-                let event_fn = Arc::clone(&event_fn);
-                let conn_stop = Arc::clone(&stop);
-                let spawned =
-                    thread::Builder::new()
-                        .name("ghsf-conn".to_string())
-                        .spawn(move || {
-                            handle_connection(stream, &config, &state_fn, &event_fn, &conn_stop);
-                        });
-                if let Ok(handle) = spawned {
-                    conns.push(handle);
-                }
-                conns.retain(|h| !h.is_finished());
-            }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    for handle in conns {
-        let _ = handle.join();
-    }
-}
-
-/// Reads exactly `buf.len()` bytes, waking every [`TICK`] to honour the
-/// stop flag and the frame deadline. `deadline` is `None` until the
-/// first byte of a frame arrives — an idle connection may sit quietly
-/// forever, a *started* frame must finish in time.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    deadline: &mut Option<Instant>,
-    frame_timeout: Duration,
-) -> Result<bool, CommsError> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(false);
-        }
-        if let Some(d) = *deadline {
-            if Instant::now() >= d {
-                return Err(CommsError::TimedOut);
-            }
-        }
-        let window = buf.get_mut(got..).unwrap_or(&mut []);
-        match stream.read(window) {
-            Ok(0) => {
-                if got == 0 {
-                    return Ok(false); // clean EOF between frames
-                }
-                return Err(CommsError::Disconnected);
-            }
-            Ok(n) => {
-                if deadline.is_none() {
-                    *deadline = Some(Instant::now() + frame_timeout);
-                }
-                got += n;
-            }
-            Err(ref e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(CommsError::Io(e.to_string())),
-        }
-    }
-    Ok(true)
-}
-
 /// Maps a decode-side error onto the nak code the peer should see.
-fn nak_code_for(err: &CommsError) -> NakCode {
+fn nak_code_for(err: &WireError) -> NakCode {
     match err {
-        CommsError::BadMagic
-        | CommsError::UnsupportedVersion { .. }
-        | CommsError::UnknownFrameType(_) => NakCode::Unsupported,
-        CommsError::FrameTooLarge { .. } => NakCode::TooLarge,
+        WireError::BadMagic
+        | WireError::UnsupportedVersion { .. }
+        | WireError::UnknownFrameType(_) => NakCode::Unsupported,
+        WireError::FrameTooLarge { .. } => NakCode::TooLarge,
         _ => NakCode::Malformed,
     }
 }
@@ -376,47 +288,23 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(TICK));
     let mut transfer: Option<Transfer> = None;
+    let mut payload = Vec::new();
     loop {
-        let mut deadline = None;
-        let mut header = [0u8; HEADER_LEN];
-        let alive = match read_full(
+        let parsed = wire::read_frame_until(
             &mut stream,
-            &mut header,
-            stop,
-            &mut deadline,
+            config.max_frame_len,
+            &mut payload,
             config.frame_timeout,
-        ) {
-            Ok(alive) => alive,
-            Err(e) => {
-                refuse(
-                    &mut stream,
-                    event_fn,
-                    &transfer,
-                    nak_code_for(&e),
-                    &e.to_string(),
-                );
-                return;
-            }
-        };
-        if !alive {
-            return;
-        }
-        let parsed = FrameHeader::decode(&header, config.max_frame_len).and_then(|h| {
-            let mut payload = vec![0u8; h.payload_len];
-            match read_full(
-                &mut stream,
-                &mut payload,
-                stop,
-                &mut deadline,
-                config.frame_timeout,
-            ) {
-                Ok(true) => decode_request(h.frame_type, &payload),
-                Ok(false) => Err(CommsError::Disconnected),
-                Err(e) => Err(e),
-            }
+            stop,
+        )
+        .and_then(|header| {
+            header
+                .map(|h| decode_request(h.frame_type, &payload))
+                .transpose()
         });
         let request = match parsed {
-            Ok(request) => request,
+            Ok(Some(request)) => request,
+            Ok(None) => return,
             Err(e) => {
                 refuse(
                     &mut stream,
@@ -757,8 +645,10 @@ fn seal_transfer(config: &FleetNodeConfig, t: &Transfer) -> Result<(), (NakCode,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_request, CHUNK_LEN};
+    use crate::frame::{encode_request, FrameHeader, CHUNK_LEN, HEADER_LEN};
+    use std::io::Read;
     use std::sync::Mutex;
+    use std::time::Instant;
 
     fn temp_spool(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

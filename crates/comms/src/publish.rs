@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,9 +23,9 @@ use mathkit::bytes::fnv1a64;
 
 use crate::error::CommsError;
 use crate::frame::{
-    decode_response, encode_request, FrameHeader, Request, Response, CHUNK_LEN,
-    DEFAULT_MAX_FRAME_LEN, HEADER_LEN,
+    decode_response, encode_request, FrameType, Request, Response, CHUNK_LEN, DEFAULT_MAX_FRAME_LEN,
 };
+use crate::wire::{self, FrameKind, WireError};
 
 /// Default socket I/O timeout for publisher-side reads and writes.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(10);
@@ -62,7 +62,7 @@ impl Replicator {
     ///
     /// # Errors
     ///
-    /// [`CommsError::Io`] when the connection fails.
+    /// [`CommsError::Wire`] when the connection fails.
     pub fn connect(addr: SocketAddr) -> Result<Self, CommsError> {
         Self::connect_with_timeout(addr, DEFAULT_IO_TIMEOUT)
     }
@@ -72,7 +72,7 @@ impl Replicator {
     ///
     /// # Errors
     ///
-    /// [`CommsError::Io`] when the connection fails.
+    /// [`CommsError::Wire`] when the connection fails.
     pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> Result<Self, CommsError> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_nodelay(true)?;
@@ -86,15 +86,13 @@ impl Replicator {
 
     fn send(&mut self, request: &Request) -> Result<(), CommsError> {
         let frame = encode_request(request)?;
-        self.stream.write_all(&frame).map_err(map_io)
+        self.stream.write_all(&frame)?;
+        Ok(())
     }
 
     fn recv(&mut self) -> Result<Response, CommsError> {
-        let mut header = [0u8; HEADER_LEN];
-        read_exact(&mut self.stream, &mut header)?;
-        let header = FrameHeader::decode(&header, self.max_frame_len)?;
-        let mut payload = vec![0u8; header.payload_len];
-        read_exact(&mut self.stream, &mut payload)?;
+        let mut payload = Vec::new();
+        let header = wire::read_frame(&mut self.stream, self.max_frame_len, &mut payload)?;
         match decode_response(header.frame_type, &payload)? {
             Response::Nak { code, detail } => Err(CommsError::Nak { code, detail }),
             other => Ok(other),
@@ -136,7 +134,7 @@ impl Replicator {
             other => return Err(unexpected("offer ack", &other)),
         };
         if have > total_len {
-            return Err(CommsError::Malformed("node claims more bytes than offered"));
+            return Err(WireError::Malformed("node claims more bytes than offered").into());
         }
         let mut offset = have as usize;
         while offset < bytes.len() {
@@ -157,9 +155,9 @@ impl Replicator {
                 bytes_sent: total_len - have,
                 already_current: have == total_len,
             }),
-            Response::BundleAck { .. } => Err(CommsError::Malformed(
-                "bundle ack echoed a foreign checksum",
-            )),
+            Response::BundleAck { .. } => {
+                Err(WireError::Malformed("bundle ack echoed a foreign checksum").into())
+            }
             other => Err(unexpected("bundle ack", &other)),
         }
     }
@@ -182,25 +180,14 @@ impl Replicator {
 
 fn unexpected(expected: &'static str, got: &Response) -> CommsError {
     let found = match got {
-        Response::OfferAck { .. } => 0x81,
-        Response::BundleAck { .. } => 0x82,
-        Response::StateReply { .. } => 0x83,
-        Response::Nak { .. } => 0x84,
-        Response::Pong => 0x85,
-    };
-    CommsError::UnexpectedFrame { expected, found }
-}
-
-fn map_io(e: std::io::Error) -> CommsError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => CommsError::TimedOut,
-        std::io::ErrorKind::UnexpectedEof => CommsError::Disconnected,
-        _ => CommsError::Io(e.to_string()),
+        Response::OfferAck { .. } => FrameType::OfferAck,
+        Response::BundleAck { .. } => FrameType::BundleAck,
+        Response::StateReply { .. } => FrameType::StateReply,
+        Response::Nak { .. } => FrameType::Nak,
+        Response::Pong => FrameType::Pong,
     }
-}
-
-fn read_exact(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), CommsError> {
-    stream.read_exact(buf).map_err(map_io)
+    .to_wire();
+    CommsError::UnexpectedFrame { expected, found }
 }
 
 /// One observable outcome of a publisher poll.

@@ -10,18 +10,19 @@
 //! flooding client observes `Overloaded` rejects interleaved with
 //! verdicts for its admitted batches.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use detect::hybrid::HybridVerdict;
 use detect::online::StreamVerdict;
+use ghsom_comms::wire;
 use traffic::ConnectionRecord;
 
 use crate::error::DaemonError;
 use crate::protocol::{
-    self, BatchMode, BatchRequest, FrameHeader, Request, Response, VerdictPayload,
-    DEFAULT_MAX_FRAME_LEN, HEADER_LEN,
+    self, BatchMode, BatchRequest, FrameHeader, FrameKind, FrameType, Request, Response,
+    VerdictPayload, DEFAULT_MAX_FRAME_LEN,
 };
 
 /// A blocking connection to a running daemon's ingest listener.
@@ -37,7 +38,7 @@ impl DaemonClient {
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Io`] when the connection cannot be established.
+    /// [`DaemonError::Wire`] when the connection cannot be established.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, DaemonError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
@@ -49,11 +50,11 @@ impl DaemonClient {
     }
 
     /// Bounds how long [`DaemonClient::recv_response`] waits for bytes
-    /// (`None` waits forever, the default).
+    /// (`None` waits forever, the default); expiry is a typed `TimedOut`.
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Io`] when the socket rejects the option.
+    /// [`DaemonError::Wire`] when the socket rejects the option.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), DaemonError> {
         self.stream.set_read_timeout(timeout)?;
         Ok(())
@@ -90,7 +91,7 @@ impl DaemonClient {
             VerdictPayload::Hybrid(v) => Ok(v),
             VerdictPayload::Stream(_) => Err(DaemonError::UnexpectedFrame {
                 expected: "hybrid verdicts",
-                found: protocol::FrameType::Verdicts.to_wire(),
+                found: FrameType::Verdicts.to_wire(),
             }),
         }
     }
@@ -112,7 +113,7 @@ impl DaemonClient {
             VerdictPayload::Stream(v) => Ok(v),
             VerdictPayload::Hybrid(_) => Err(DaemonError::UnexpectedFrame {
                 expected: "stream verdicts",
-                found: protocol::FrameType::Verdicts.to_wire(),
+                found: FrameType::Verdicts.to_wire(),
             }),
         }
     }
@@ -167,22 +168,21 @@ impl DaemonClient {
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Disconnected`] when the daemon closed the
-    /// connection; any header/payload decode error for hostile bytes;
+    /// Any error of [`wire::read_frame`] (e.g. `Disconnected` when the
+    /// daemon closed the connection, `TimedOut` when the read timeout
+    /// expired) or of the payload decode, as [`DaemonError::Wire`];
     /// [`DaemonError::UnexpectedFrame`] when a *request* frame type
     /// arrives on what should be a response stream.
     pub fn recv_response(&mut self) -> Result<Response, DaemonError> {
-        let mut header_bytes = [0u8; HEADER_LEN];
-        recv_exact(&mut self.stream, &mut header_bytes)?;
-        let header = FrameHeader::decode(&header_bytes, self.max_frame_len)?;
+        let mut payload = Vec::new();
+        let header: FrameHeader =
+            wire::read_frame(&mut self.stream, self.max_frame_len, &mut payload)?;
         if header.frame_type.is_request() {
             return Err(DaemonError::UnexpectedFrame {
                 expected: "a response frame",
                 found: header.frame_type.to_wire(),
             });
         }
-        let mut payload = vec![0u8; header.payload_len];
-        recv_exact(&mut self.stream, &mut payload)?;
         protocol::decode_response(header.frame_type, &payload)
     }
 
@@ -206,32 +206,10 @@ impl DaemonClient {
 
 fn unexpected(response: &Response, expected: &'static str) -> DaemonError {
     let found = match response {
-        Response::Verdicts { .. } => protocol::FrameType::Verdicts,
-        Response::Reject(_) => protocol::FrameType::Reject,
-        Response::Pong => protocol::FrameType::Pong,
-    };
-    DaemonError::UnexpectedFrame {
-        expected,
-        found: found.to_wire(),
+        Response::Verdicts { .. } => FrameType::Verdicts,
+        Response::Reject(_) => FrameType::Reject,
+        Response::Pong => FrameType::Pong,
     }
-}
-
-/// Fills `buf` completely or explains why it could not.
-///
-/// Hand-rolled rather than `read_exact` so a clean peer close maps to
-/// [`DaemonError::Disconnected`] without inspecting `io::ErrorKind` —
-/// this helper shares the serving plane's name-reachability budget
-/// through `DaemonClient::score`/`observe`, so its body is held to the
-/// hot path's rules.
-fn recv_exact(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), DaemonError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        let slot = buf.get_mut(filled..).unwrap_or_default();
-        match stream.read(slot) {
-            Ok(0) => return Err(DaemonError::Disconnected),
-            Ok(n) => filled += n,
-            Err(e) => return Err(DaemonError::from(e)),
-        }
-    }
-    Ok(())
+    .to_wire();
+    DaemonError::UnexpectedFrame { expected, found }
 }

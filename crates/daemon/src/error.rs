@@ -4,6 +4,7 @@
 use std::fmt;
 
 use detect::DetectError;
+use ghsom_comms::wire::WireError;
 use ghsom_serve::ServeError;
 
 /// Typed reject codes a server sends in a `Reject` response frame.
@@ -52,8 +53,8 @@ impl RejectCode {
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Malformed`] for unknown code bytes.
-    pub fn from_wire(byte: u8) -> Result<Self, DaemonError> {
+    /// [`WireError::Malformed`] for unknown code bytes.
+    pub fn from_wire(byte: u8) -> Result<Self, WireError> {
         match byte {
             1 => Ok(RejectCode::Overloaded),
             2 => Ok(RejectCode::UnknownTenant),
@@ -61,7 +62,7 @@ impl RejectCode {
             4 => Ok(RejectCode::TooLarge),
             5 => Ok(RejectCode::Unsupported),
             6 => Ok(RejectCode::Internal),
-            _ => Err(DaemonError::Malformed("unknown reject code byte")),
+            _ => Err(WireError::Malformed("unknown reject code byte")),
         }
     }
 
@@ -94,45 +95,8 @@ impl fmt::Display for RejectCode {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DaemonError {
-    /// Socket or filesystem I/O failed.
-    Io(String),
-    /// The frame does not start with the `GHSD` magic.
-    BadMagic,
-    /// The frame was written by an unknown protocol version.
-    UnsupportedVersion {
-        /// Version found in the header.
-        found: u8,
-        /// Newest version this build speaks.
-        supported: u8,
-    },
-    /// The header names a frame type this build does not know.
-    UnknownFrameType(u8),
-    /// The header's reserved bytes were not zero.
-    ReservedNonZero,
-    /// The frame declares a payload longer than the configured cap —
-    /// rejected before any payload byte is read, so a hostile declared
-    /// length can never force an allocation.
-    FrameTooLarge {
-        /// Declared payload length.
-        declared: usize,
-        /// Configured maximum.
-        max: usize,
-    },
-    /// The payload ended before a declared structure was complete.
-    Truncated {
-        /// Bytes the structure needs.
-        needed: usize,
-        /// Bytes actually available.
-        got: usize,
-    },
-    /// The peer disconnected mid-frame (clean EOF *between* frames is
-    /// not an error).
-    Disconnected,
-    /// The peer started a frame but did not finish it within the frame
-    /// deadline — the slow-loris defence. The connection is closed.
-    TimedOut,
-    /// The payload parses but violates a structural invariant.
-    Malformed(&'static str),
+    /// A framing, payload or socket failure (shared with GHSF).
+    Wire(WireError),
     /// Client side: the server answered with a `Reject` frame.
     Rejected {
         /// Echoed request id (`0` when the request never parsed).
@@ -161,28 +125,7 @@ pub enum DaemonError {
 impl fmt::Display for DaemonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DaemonError::Io(msg) => write!(f, "daemon I/O error: {msg}"),
-            DaemonError::BadMagic => write!(f, "not a GHSD frame (bad magic)"),
-            DaemonError::UnsupportedVersion { found, supported } => write!(
-                f,
-                "protocol version {found} is not supported (this build speaks <= {supported})"
-            ),
-            DaemonError::UnknownFrameType(t) => write!(f, "unknown frame type {t:#04x}"),
-            DaemonError::ReservedNonZero => {
-                write!(f, "reserved header bytes must be zero")
-            }
-            DaemonError::FrameTooLarge { declared, max } => write!(
-                f,
-                "frame declares a {declared}-byte payload, above the {max}-byte cap"
-            ),
-            DaemonError::Truncated { needed, got } => {
-                write!(f, "frame payload truncated: need {needed} bytes, got {got}")
-            }
-            DaemonError::Disconnected => write!(f, "peer disconnected mid-frame"),
-            DaemonError::TimedOut => {
-                write!(f, "frame not completed within the frame deadline")
-            }
-            DaemonError::Malformed(reason) => write!(f, "malformed frame: {reason}"),
+            DaemonError::Wire(e) => write!(f, "{e}"),
             DaemonError::Rejected {
                 req_id,
                 code,
@@ -210,9 +153,15 @@ impl std::error::Error for DaemonError {
     }
 }
 
+impl From<WireError> for DaemonError {
+    fn from(e: WireError) -> Self {
+        DaemonError::Wire(e)
+    }
+}
+
 impl From<std::io::Error> for DaemonError {
     fn from(e: std::io::Error) -> Self {
-        DaemonError::Io(e.to_string())
+        DaemonError::Wire(e.into())
     }
 }
 
@@ -256,13 +205,6 @@ mod tests {
 
     #[test]
     fn display_messages_are_actionable() {
-        assert!(DaemonError::BadMagic.to_string().contains("magic"));
-        assert!(DaemonError::FrameTooLarge {
-            declared: 99,
-            max: 10
-        }
-        .to_string()
-        .contains("99"));
         assert!(DaemonError::Rejected {
             req_id: 7,
             code: RejectCode::Overloaded,

@@ -38,14 +38,15 @@ use detect::hybrid::HybridVerdict;
 use detect::online::{StreamState, StreamVerdict};
 use detect::DetectError;
 use ghsom_comms::{CommsError, Replicator};
+use ghsom_serve::shard::{chunk_len, MIN_SHARD_CHUNK};
 use traffic::ConnectionRecord;
 
 use crate::client::DaemonClient;
 use crate::error::{DaemonError, RejectCode};
 
-/// Smallest record chunk worth routing to a distinct node — mirrors
+/// Smallest record chunk worth routing to a distinct node —
 /// `ShardedEngine`'s per-thread floor, one level up.
-pub const FLEET_MIN_CHUNK: usize = 64;
+pub const FLEET_MIN_CHUNK: usize = MIN_SHARD_CHUNK;
 
 /// Default per-node socket read timeout: the "never a hang" bound.
 pub const DEFAULT_NODE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -525,30 +526,10 @@ fn slot_healthy(slot: &Slot, now: Instant) -> bool {
     slot.down_until.is_none_or(|until| now >= until)
 }
 
-/// Contiguous chunk width for `n` records over `nodes` healthy nodes —
-/// the `ShardedEngine` rule one level up: no chunk smaller than
-/// [`FLEET_MIN_CHUNK`], width = ceil(n / workers).
-fn chunk_len(n: usize, nodes: usize) -> usize {
-    let workers = nodes.min(n / FLEET_MIN_CHUNK).max(1);
-    n.div_ceil(workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunking_mirrors_the_sharded_engine_rule() {
-        // Below the per-node floor everything stays on one node.
-        assert_eq!(chunk_len(63, 3), 63);
-        assert_eq!(chunk_len(127, 3), 127);
-        // At 3×64 the batch splits three ways.
-        assert_eq!(chunk_len(192, 3), 64);
-        assert_eq!(chunk_len(1000, 4), 250);
-        // More nodes than useful chunks: width respects the floor.
-        assert_eq!(chunk_len(130, 16), 65);
-        assert_eq!(chunk_len(1, 8), 1);
-    }
+    use ghsom_comms::WireError;
 
     #[test]
     fn empty_fleet_is_a_typed_error() {
@@ -589,7 +570,7 @@ mod tests {
             code: RejectCode::Overloaded,
             detail: String::new()
         }));
-        assert!(transport_failure(&DaemonError::Disconnected));
+        assert!(transport_failure(&WireError::Disconnected.into()));
         assert!(transport_failure(&DaemonError::Rejected {
             req_id: 1,
             code: RejectCode::Internal,

@@ -1,13 +1,10 @@
 //! The GHSD wire protocol: length-prefixed binary frames over TCP.
 //!
 //! The normative specification lives in `docs/PROTOCOL.md`; this module is
-//! its reference implementation. The short version:
-//!
-//! ```text
-//! frame   := header payload
-//! header  := magic(4) version(1) frame_type(1) reserved(2) payload_len(4)   -- 12 bytes, LE
-//! magic   := "GHSD"
-//! ```
+//! its reference implementation. The 12-byte header, its check order and
+//! the payload cursor come from [`ghsom_comms::wire`], shared with the
+//! GHSF fleet protocol; this module keeps the GHSD frame-type table
+//! (magic `"GHSD"`) and the payload grammar.
 //!
 //! Requests are [`FrameType::Batch`] (a tenant-addressed batch of
 //! [`ConnectionRecord`]s to score or observe) and [`FrameType::Ping`].
@@ -22,6 +19,8 @@
 
 use detect::hybrid::HybridVerdict;
 use detect::online::StreamVerdict;
+use ghsom_comms::wire::{self, finish_frame, truncate_utf8, write_tenant, Cursor, WireError};
+pub use ghsom_comms::wire::{FrameKind, DEFAULT_MAX_FRAME_LEN, HEADER_LEN, MAX_TENANT_LEN};
 use traffic::{AttackType, ConnectionRecord, Flag, Protocol, Service};
 
 use crate::error::{DaemonError, RejectCode};
@@ -32,18 +31,9 @@ pub const MAGIC: [u8; 4] = *b"GHSD";
 /// Protocol version this build speaks.
 pub const VERSION: u8 = 1;
 
-/// Fixed header length in bytes.
-pub const HEADER_LEN: usize = 12;
-
 /// Wire length of one encoded [`ConnectionRecord`]: four categorical code
 /// bytes followed by the 38 continuous features as little-endian `f64`s.
 pub const RECORD_WIRE_LEN: usize = 4 + ConnectionRecord::CONTINUOUS_COUNT * 8;
-
-/// Default cap on a frame's declared payload length (8 MiB, ~27k records).
-pub const DEFAULT_MAX_FRAME_LEN: usize = 8 * 1024 * 1024;
-
-/// Longest tenant name the protocol carries.
-pub const MAX_TENANT_LEN: usize = 255;
 
 /// Longest reject detail string the server will send.
 pub const MAX_REJECT_DETAIL_LEN: usize = 512;
@@ -65,38 +55,16 @@ pub enum FrameType {
     Pong,
 }
 
-impl FrameType {
-    /// The frozen wire byte of this frame type.
-    pub fn to_wire(self) -> u8 {
-        match self {
-            FrameType::Batch => 0x01,
-            FrameType::Ping => 0x02,
-            FrameType::Verdicts => 0x81,
-            FrameType::Reject => 0x82,
-            FrameType::Pong => 0x83,
-        }
-    }
-
-    /// Decodes a wire byte.
-    ///
-    /// # Errors
-    ///
-    /// [`DaemonError::UnknownFrameType`] for any other byte.
-    pub fn from_wire(byte: u8) -> Result<Self, DaemonError> {
-        match byte {
-            0x01 => Ok(FrameType::Batch),
-            0x02 => Ok(FrameType::Ping),
-            0x81 => Ok(FrameType::Verdicts),
-            0x82 => Ok(FrameType::Reject),
-            0x83 => Ok(FrameType::Pong),
-            other => Err(DaemonError::UnknownFrameType(other)),
-        }
-    }
-
-    /// `true` for frame types a client sends.
-    pub fn is_request(self) -> bool {
-        matches!(self, FrameType::Batch | FrameType::Ping)
-    }
+impl FrameKind for FrameType {
+    const MAGIC: [u8; 4] = MAGIC;
+    const VERSION: u8 = VERSION;
+    const WIRE: &'static [(Self, u8)] = &[
+        (FrameType::Batch, 0x01),
+        (FrameType::Ping, 0x02),
+        (FrameType::Verdicts, 0x81),
+        (FrameType::Reject, 0x82),
+        (FrameType::Pong, 0x83),
+    ];
 }
 
 /// What the server should do with a batch.
@@ -124,75 +92,18 @@ impl BatchMode {
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Malformed`] for any other byte.
-    pub fn from_wire(byte: u8) -> Result<Self, DaemonError> {
+    /// [`WireError::Malformed`] for any other byte.
+    pub fn from_wire(byte: u8) -> Result<Self, WireError> {
         match byte {
             0 => Ok(BatchMode::Score),
             1 => Ok(BatchMode::Observe),
-            _ => Err(DaemonError::Malformed("unknown batch mode byte")),
+            _ => Err(WireError::Malformed("unknown batch mode byte")),
         }
     }
 }
 
-/// A validated frame header: the frame type plus how many payload bytes
-/// follow the 12 header bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameHeader {
-    /// Kind of frame the payload encodes.
-    pub frame_type: FrameType,
-    /// Payload length in bytes (already checked against the caller's cap).
-    pub payload_len: usize,
-}
-
-impl FrameHeader {
-    /// Encodes the 12 header bytes.
-    pub fn encode(frame_type: FrameType, payload_len: u32) -> [u8; HEADER_LEN] {
-        let mut out = [0u8; HEADER_LEN];
-        out[..4].copy_from_slice(&MAGIC);
-        out[4] = VERSION;
-        out[5] = frame_type.to_wire();
-        // bytes 6..8 stay zero (reserved)
-        out[8..].copy_from_slice(&payload_len.to_le_bytes());
-        out
-    }
-
-    /// Validates 12 header bytes against `max_frame_len`.
-    ///
-    /// The declared payload length is checked *here*, before the caller
-    /// reads (or allocates for) a single payload byte.
-    ///
-    /// # Errors
-    ///
-    /// [`DaemonError::BadMagic`], [`DaemonError::UnsupportedVersion`],
-    /// [`DaemonError::UnknownFrameType`], [`DaemonError::ReservedNonZero`]
-    /// or [`DaemonError::FrameTooLarge`].
-    pub fn decode(bytes: &[u8; HEADER_LEN], max_frame_len: usize) -> Result<Self, DaemonError> {
-        if bytes[..4] != MAGIC {
-            return Err(DaemonError::BadMagic);
-        }
-        if bytes[4] != VERSION {
-            return Err(DaemonError::UnsupportedVersion {
-                found: bytes[4],
-                supported: VERSION,
-            });
-        }
-        let frame_type = FrameType::from_wire(bytes[5])?;
-        if bytes[6] != 0 || bytes[7] != 0 {
-            return Err(DaemonError::ReservedNonZero);
-        }
-        let declared = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-        if declared > max_frame_len {
-            return Err(DaemonError::FrameTooLarge {
-                declared,
-                max: max_frame_len,
-            });
-        }
-        Ok(FrameHeader {
-            frame_type,
-            payload_len: declared,
-        })
-    }
-}
+/// A validated GHSD frame header.
+pub type FrameHeader = wire::FrameHeader<FrameType>;
 
 /// A batch of records addressed to one tenant.
 #[derive(Debug, Clone, PartialEq)]
@@ -274,87 +185,6 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// payload cursor
-// ---------------------------------------------------------------------------
-
-/// Bounds-checked reader over a payload slice: every read either yields
-/// bytes or a typed [`DaemonError::Truncated`].
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DaemonError> {
-        let end = self.pos.checked_add(n).ok_or(DaemonError::Truncated {
-            needed: n,
-            got: self.remaining(),
-        })?;
-        match self.buf.get(self.pos..end) {
-            Some(slice) => {
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(DaemonError::Truncated {
-                needed: n,
-                got: self.remaining(),
-            }),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, DaemonError> {
-        let b = self.take(1)?;
-        Ok(b.first().copied().unwrap_or(0))
-    }
-
-    fn u16(&mut self) -> Result<u16, DaemonError> {
-        let b = self.take(2)?;
-        let mut a = [0u8; 2];
-        a.copy_from_slice(b);
-        Ok(u16::from_le_bytes(a))
-    }
-
-    fn u32(&mut self) -> Result<u32, DaemonError> {
-        let b = self.take(4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Ok(u32::from_le_bytes(a))
-    }
-
-    fn u64(&mut self) -> Result<u64, DaemonError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self) -> Result<f64, DaemonError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(f64::from_le_bytes(a))
-    }
-
-    /// Fails unless every payload byte was consumed — trailing garbage is
-    /// as malformed as missing bytes.
-    fn finish(self) -> Result<(), DaemonError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(DaemonError::Malformed("trailing bytes after payload"))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // record codec
 // ---------------------------------------------------------------------------
 
@@ -364,10 +194,10 @@ fn categorical_code<T: PartialEq + Copy>(all: &[T], value: T) -> u8 {
     all.iter().position(|v| *v == value).unwrap_or(0) as u8
 }
 
-fn categorical_decode<T: Copy>(all: &[T], code: u8, what: &'static str) -> Result<T, DaemonError> {
+fn categorical_decode<T: Copy>(all: &[T], code: u8, what: &'static str) -> Result<T, WireError> {
     match all.get(code as usize) {
         Some(v) => Ok(*v),
-        None => Err(DaemonError::Malformed(what)),
+        None => Err(WireError::Malformed(what)),
     }
 }
 
@@ -384,7 +214,7 @@ pub fn encode_record(record: &ConnectionRecord, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_record(cur: &mut Cursor<'_>) -> Result<ConnectionRecord, DaemonError> {
+fn decode_record(cur: &mut Cursor<'_>) -> Result<ConnectionRecord, WireError> {
     let protocol = categorical_decode(&Protocol::ALL, cur.u8()?, "bad protocol code")?;
     let service = categorical_decode(&Service::ALL, cur.u8()?, "bad service code")?;
     let flag = categorical_decode(&Flag::ALL, cur.u8()?, "bad flag code")?;
@@ -395,7 +225,7 @@ fn decode_record(cur: &mut Cursor<'_>) -> Result<ConnectionRecord, DaemonError> 
         // A NaN or infinity here would poison the tenant's adaptive
         // baseline through `observe`; reject it at the trust boundary.
         if !value.is_finite() {
-            return Err(DaemonError::Malformed("non-finite feature value"));
+            return Err(WireError::Malformed("non-finite feature value"));
         }
         *slot = value;
     }
@@ -462,44 +292,25 @@ fn record_from_parts(
 // frame encode
 // ---------------------------------------------------------------------------
 
-fn finish_frame(frame_type: FrameType, payload: Vec<u8>) -> Result<Vec<u8>, DaemonError> {
-    let len = u32::try_from(payload.len()).map_err(|_| DaemonError::FrameTooLarge {
-        declared: payload.len(),
-        max: u32::MAX as usize,
-    })?;
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&FrameHeader::encode(frame_type, len));
-    out.extend_from_slice(&payload);
-    Ok(out)
-}
-
 /// Encodes a complete request frame (header + payload).
 ///
 /// # Errors
 ///
-/// [`DaemonError::Malformed`] when a batch's tenant name is empty, longer
+/// [`WireError::Malformed`] when a batch's tenant name is empty, longer
 /// than [`MAX_TENANT_LEN`] bytes, or the batch holds more than `u32::MAX`
-/// records; [`DaemonError::FrameTooLarge`] when the payload overflows the
+/// records; [`WireError::FrameTooLarge`] when the payload overflows the
 /// u32 length field.
-pub fn encode_request(request: &Request) -> Result<Vec<u8>, DaemonError> {
+pub fn encode_request(request: &Request) -> Result<Vec<u8>, WireError> {
     match request {
         Request::Ping => finish_frame(FrameType::Ping, Vec::new()),
         Request::Batch(batch) => {
-            let tenant = batch.tenant.as_bytes();
-            if tenant.is_empty() {
-                return Err(DaemonError::Malformed("empty tenant name"));
-            }
-            if tenant.len() > MAX_TENANT_LEN {
-                return Err(DaemonError::Malformed("tenant name longer than 255 bytes"));
-            }
-            let count = u32::try_from(batch.records.len())
-                .map_err(|_| DaemonError::Malformed("more than u32::MAX records"))?;
             let mut payload =
-                Vec::with_capacity(15 + tenant.len() + batch.records.len() * RECORD_WIRE_LEN);
+                Vec::with_capacity(15 + batch.tenant.len() + batch.records.len() * RECORD_WIRE_LEN);
             payload.extend_from_slice(&batch.req_id.to_le_bytes());
             payload.push(batch.mode.to_wire());
-            payload.extend_from_slice(&(tenant.len() as u16).to_le_bytes());
-            payload.extend_from_slice(tenant);
+            write_tenant(&mut payload, &batch.tenant)?;
+            let count = u32::try_from(batch.records.len())
+                .map_err(|_| WireError::Malformed("more than u32::MAX records"))?;
             payload.extend_from_slice(&count.to_le_bytes());
             for record in &batch.records {
                 encode_record(record, &mut payload);
@@ -514,10 +325,10 @@ pub fn encode_request(request: &Request) -> Result<Vec<u8>, DaemonError> {
 ///
 /// # Errors
 ///
-/// [`DaemonError::Malformed`] when a verdict batch holds more than
-/// `u32::MAX` verdicts; [`DaemonError::FrameTooLarge`] when the payload
+/// [`WireError::Malformed`] when a verdict batch holds more than
+/// `u32::MAX` verdicts; [`WireError::FrameTooLarge`] when the payload
 /// overflows the u32 length field.
-pub fn encode_response(response: &Response) -> Result<Vec<u8>, DaemonError> {
+pub fn encode_response(response: &Response) -> Result<Vec<u8>, WireError> {
     match response {
         Response::Pong => finish_frame(FrameType::Pong, Vec::new()),
         Response::Reject(reject) => {
@@ -531,7 +342,7 @@ pub fn encode_response(response: &Response) -> Result<Vec<u8>, DaemonError> {
         }
         Response::Verdicts { req_id, verdicts } => {
             let count = u32::try_from(verdicts.len())
-                .map_err(|_| DaemonError::Malformed("more than u32::MAX verdicts"))?;
+                .map_err(|_| WireError::Malformed("more than u32::MAX verdicts"))?;
             let (mode, wire_len) = match verdicts {
                 VerdictPayload::Hybrid(_) => (BatchMode::Score, HybridVerdict::WIRE_LEN),
                 VerdictPayload::Stream(_) => (BatchMode::Observe, StreamVerdict::WIRE_LEN),
@@ -557,19 +368,6 @@ pub fn encode_response(response: &Response) -> Result<Vec<u8>, DaemonError> {
     }
 }
 
-/// Longest prefix of `s` that fits `max` bytes without splitting a UTF-8
-/// sequence.
-fn truncate_utf8(s: &str, max: usize) -> &str {
-    if s.len() <= max {
-        return s;
-    }
-    let mut end = max;
-    while end > 0 && !s.is_char_boundary(end) {
-        end -= 1;
-    }
-    s.get(..end).unwrap_or("")
-}
-
 // ---------------------------------------------------------------------------
 // frame decode
 // ---------------------------------------------------------------------------
@@ -579,10 +377,10 @@ fn truncate_utf8(s: &str, max: usize) -> &str {
 ///
 /// # Errors
 ///
-/// [`DaemonError::Malformed`] or [`DaemonError::Truncated`] describing the
-/// first structural violation; [`DaemonError::UnknownFrameType`] when fed a
+/// [`WireError::Malformed`] or [`WireError::Truncated`] describing the
+/// first structural violation; [`WireError::UnknownFrameType`] when fed a
 /// response frame type.
-pub fn decode_request(frame_type: FrameType, payload: &[u8]) -> Result<Request, DaemonError> {
+pub fn decode_request(frame_type: FrameType, payload: &[u8]) -> Result<Request, WireError> {
     match frame_type {
         FrameType::Ping => {
             Cursor::new(payload).finish()?;
@@ -592,24 +390,15 @@ pub fn decode_request(frame_type: FrameType, payload: &[u8]) -> Result<Request, 
             let mut cur = Cursor::new(payload);
             let req_id = cur.u64()?;
             let mode = BatchMode::from_wire(cur.u8()?)?;
-            let tenant_len = cur.u16()? as usize;
-            if tenant_len == 0 {
-                return Err(DaemonError::Malformed("empty tenant name"));
-            }
-            if tenant_len > MAX_TENANT_LEN {
-                return Err(DaemonError::Malformed("tenant name longer than 255 bytes"));
-            }
-            let tenant = std::str::from_utf8(cur.take(tenant_len)?)
-                .map_err(|_| DaemonError::Malformed("tenant name is not UTF-8"))?
-                .to_string();
+            let tenant = cur.tenant()?;
             let count = cur.u32()? as usize;
             let declared = count
                 .checked_mul(RECORD_WIRE_LEN)
-                .ok_or(DaemonError::Malformed(
+                .ok_or(WireError::Malformed(
                     "record count overflows the payload length",
                 ))?;
             if declared != cur.remaining() {
-                return Err(DaemonError::Truncated {
+                return Err(WireError::Truncated {
                     needed: declared,
                     got: cur.remaining(),
                 });
@@ -626,7 +415,7 @@ pub fn decode_request(frame_type: FrameType, payload: &[u8]) -> Result<Request, 
                 records,
             }))
         }
-        other => Err(DaemonError::UnknownFrameType(other.to_wire())),
+        other => Err(WireError::UnknownFrameType(other.to_wire())),
     }
 }
 
@@ -635,9 +424,10 @@ pub fn decode_request(frame_type: FrameType, payload: &[u8]) -> Result<Request, 
 ///
 /// # Errors
 ///
-/// [`DaemonError::Malformed`] or [`DaemonError::Truncated`] describing the
-/// first structural violation; [`DaemonError::UnknownFrameType`] when fed a
-/// request frame type.
+/// [`DaemonError::Wire`] carrying [`WireError::Malformed`] or
+/// [`WireError::Truncated`] for the first structural violation, or
+/// [`WireError::UnknownFrameType`] when fed a request frame type;
+/// [`DaemonError::Verdict`] when a verdict fails to decode.
 pub fn decode_response(frame_type: FrameType, payload: &[u8]) -> Result<Response, DaemonError> {
     match frame_type {
         FrameType::Pong => {
@@ -650,7 +440,7 @@ pub fn decode_response(frame_type: FrameType, payload: &[u8]) -> Result<Response
             let code = RejectCode::from_wire(cur.u8()?)?;
             let detail_len = cur.u16()? as usize;
             let detail = std::str::from_utf8(cur.take(detail_len)?)
-                .map_err(|_| DaemonError::Malformed("reject detail is not UTF-8"))?
+                .map_err(|_| WireError::Malformed("reject detail is not UTF-8"))?
                 .to_string();
             cur.finish()?;
             Ok(Response::Reject(Reject {
@@ -668,14 +458,15 @@ pub fn decode_response(frame_type: FrameType, payload: &[u8]) -> Result<Response
                 BatchMode::Score => HybridVerdict::WIRE_LEN,
                 BatchMode::Observe => StreamVerdict::WIRE_LEN,
             };
-            let declared = count.checked_mul(wire_len).ok_or(DaemonError::Malformed(
+            let declared = count.checked_mul(wire_len).ok_or(WireError::Malformed(
                 "verdict count overflows the payload length",
             ))?;
             if declared != cur.remaining() {
-                return Err(DaemonError::Truncated {
+                return Err(WireError::Truncated {
                     needed: declared,
                     got: cur.remaining(),
-                });
+                }
+                .into());
             }
             let verdicts = match mode {
                 BatchMode::Score => {
@@ -700,7 +491,7 @@ pub fn decode_response(frame_type: FrameType, payload: &[u8]) -> Result<Response
             cur.finish()?;
             Ok(Response::Verdicts { req_id, verdicts })
         }
-        other => Err(DaemonError::UnknownFrameType(other.to_wire())),
+        other => Err(WireError::UnknownFrameType(other.to_wire()).into()),
     }
 }
 
@@ -787,42 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn header_rejects_bad_magic_version_type_reserved_and_length() {
-        let good = FrameHeader::encode(FrameType::Ping, 0);
-
-        let mut bad = good;
-        bad[0] = b'X';
-        assert_eq!(FrameHeader::decode(&bad, 1024), Err(DaemonError::BadMagic));
-
-        let mut bad = good;
-        bad[4] = 99;
-        assert!(matches!(
-            FrameHeader::decode(&bad, 1024),
-            Err(DaemonError::UnsupportedVersion { found: 99, .. })
-        ));
-
-        let mut bad = good;
-        bad[5] = 0x7F;
-        assert_eq!(
-            FrameHeader::decode(&bad, 1024),
-            Err(DaemonError::UnknownFrameType(0x7F))
-        );
-
-        let mut bad = good;
-        bad[6] = 1;
-        assert_eq!(
-            FrameHeader::decode(&bad, 1024),
-            Err(DaemonError::ReservedNonZero)
-        );
-
-        let huge = FrameHeader::encode(FrameType::Batch, u32::MAX);
-        assert!(matches!(
-            FrameHeader::decode(&huge, 1024),
-            Err(DaemonError::FrameTooLarge { max: 1024, .. })
-        ));
-    }
-
-    #[test]
     fn batch_decode_rejects_count_mismatch() {
         let request = Request::Batch(BatchRequest {
             req_id: 1,
@@ -837,7 +592,7 @@ mod tests {
         tampered[12] = 99;
         assert!(matches!(
             decode_request(FrameType::Batch, &tampered),
-            Err(DaemonError::Truncated { .. })
+            Err(WireError::Truncated { .. })
         ));
     }
 
@@ -858,7 +613,7 @@ mod tests {
         bad[record_start] = 200;
         assert_eq!(
             decode_request(FrameType::Batch, &bad[payload_start..]),
-            Err(DaemonError::Malformed("bad protocol code"))
+            Err(WireError::Malformed("bad protocol code"))
         );
 
         // NaN feature.
@@ -866,13 +621,13 @@ mod tests {
         bad[record_start + 4..record_start + 12].copy_from_slice(&f64::NAN.to_le_bytes());
         assert_eq!(
             decode_request(FrameType::Batch, &bad[payload_start..]),
-            Err(DaemonError::Malformed("non-finite feature value"))
+            Err(WireError::Malformed("non-finite feature value"))
         );
 
         // Truncated payload.
         assert!(matches!(
             decode_request(FrameType::Batch, &frame[payload_start..frame.len() - 3]),
-            Err(DaemonError::Truncated { .. })
+            Err(WireError::Truncated { .. })
         ));
 
         // Trailing garbage.
@@ -904,12 +659,5 @@ mod tests {
     fn ping_rejects_nonempty_payload() {
         assert!(decode_request(FrameType::Ping, &[1, 2, 3]).is_err());
         assert!(decode_request(FrameType::Ping, &[]).is_ok());
-    }
-
-    #[test]
-    fn truncate_utf8_respects_char_boundaries() {
-        assert_eq!(truncate_utf8("héllo", 2), "h");
-        assert_eq!(truncate_utf8("héllo", 3), "hé");
-        assert_eq!(truncate_utf8("abc", 10), "abc");
     }
 }

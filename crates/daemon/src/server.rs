@@ -28,7 +28,7 @@
 //! (slow-loris) is cut off by the frame timeout ([`DaemonConfig::with_frame_timeout`]).
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,15 +37,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use ghsom_comms::wire::{self, WireError};
 use ghsom_serve::{EngineRegistry, SpoolEvent, SpoolWatcher};
 use parking_lot::{Mutex, RwLock};
 use traffic::ConnectionRecord;
 
 use crate::error::{DaemonError, RejectCode};
 use crate::metrics::DaemonMetrics;
-use crate::protocol::{
-    self, BatchMode, FrameHeader, Reject, Request, Response, VerdictPayload, HEADER_LEN,
-};
+use crate::protocol::{self, BatchMode, FrameType, Reject, Request, Response, VerdictPayload};
 
 /// Granularity of every stop-flag check: reads, writes and accepts wake
 /// at least this often to notice shutdown.
@@ -213,7 +212,7 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Io`] when a listener cannot bind. A missing or
+    /// [`DaemonError::Wire`] when a listener cannot bind. A missing or
     /// unreadable spool directory is *not* a startup error: the watcher
     /// reports it as a scan failure every poll and recovers the moment
     /// the directory appears.
@@ -261,13 +260,9 @@ impl Daemon {
             None => None,
             Some(addr) => {
                 use std::net::ToSocketAddrs;
-                let addr = addr
-                    .to_socket_addrs()
-                    .map_err(|e| DaemonError::Io(e.to_string()))?
-                    .next()
-                    .ok_or_else(|| {
-                        DaemonError::Io(format!("fleet address '{addr}' resolves to nothing"))
-                    })?;
+                let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
+                    WireError::Io(format!("fleet address '{addr}' resolves to nothing"))
+                })?;
                 let state_registry = Arc::clone(&registry);
                 let event_metrics = Arc::clone(&metrics);
                 let node = ghsom_comms::FleetNode::start(
@@ -284,7 +279,7 @@ impl Daemon {
                         event_metrics.record_fleet_event(event);
                     }),
                 )
-                .map_err(|e| DaemonError::Io(e.to_string()))?;
+                .map_err(|e| WireError::Io(e.to_string()))?;
                 Some(node)
             }
         };
@@ -299,9 +294,13 @@ impl Daemon {
             });
         }));
 
+        ingest.set_nonblocking(true)?;
         let accept_shared = Arc::clone(&shared);
         threads.push(std::thread::spawn(move || {
-            accept_loop(&accept_shared, &ingest);
+            let conn_shared = Arc::clone(&accept_shared);
+            wire::accept_until(&ingest, &accept_shared.stop, move |stream| {
+                handle_connection(&conn_shared, stream);
+            });
         }));
 
         let metrics_shared = Arc::clone(&shared);
@@ -387,30 +386,8 @@ fn apply_spool_event(shared: &Shared, event: &SpoolEvent) {
 }
 
 // ---------------------------------------------------------------------------
-// accept + metrics loops
+// metrics loop
 // ---------------------------------------------------------------------------
-
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_shared = Arc::clone(shared);
-                connections.push(std::thread::spawn(move || {
-                    handle_connection(&conn_shared, stream);
-                }));
-                connections.retain(|h| !h.is_finished());
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
 
 fn metrics_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     if listener.set_nonblocking(true).is_err() {
@@ -478,10 +455,10 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
 /// connection closes.
 fn reject_code_for(error: &DaemonError) -> RejectCode {
     match error {
-        DaemonError::FrameTooLarge { .. } => RejectCode::TooLarge,
-        DaemonError::UnsupportedVersion { .. } | DaemonError::UnknownFrameType(_) => {
-            RejectCode::Unsupported
-        }
+        DaemonError::Wire(WireError::FrameTooLarge { .. }) => RejectCode::TooLarge,
+        DaemonError::Wire(
+            WireError::UnsupportedVersion { .. } | WireError::UnknownFrameType(_),
+        ) => RejectCode::Unsupported,
         _ => RejectCode::Malformed,
     }
 }
@@ -508,64 +485,6 @@ fn writer_loop(mut stream: TcpStream, replies: &Receiver<Vec<u8>>, stop: &Atomic
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// What one frame-sized read produced.
-enum ReadStatus {
-    /// The buffer is full.
-    Complete,
-    /// Zero bytes were read before a clean EOF (only possible at a frame
-    /// boundary) or the daemon is stopping.
-    Closed,
-}
-
-/// Fills `buf` from the socket, waking every [`TICK`] to check the stop
-/// flag and the frame deadline. `deadline` is armed at the first byte
-/// (by the header read) and shared with the payload read, so a whole
-/// frame must land within one frame-timeout window
-/// ([`DaemonConfig::with_frame_timeout`]).
-fn read_full(
-    stream: &TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    frame_timeout: Duration,
-    deadline: &mut Option<Instant>,
-) -> Result<ReadStatus, DaemonError> {
-    let mut filled = 0usize;
-    let mut reader = stream;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 && deadline.is_none() {
-                    Ok(ReadStatus::Closed)
-                } else {
-                    Err(DaemonError::Disconnected)
-                };
-            }
-            Ok(n) => {
-                if deadline.is_none() {
-                    *deadline = Some(Instant::now() + frame_timeout);
-                }
-                filled += n;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::Relaxed) {
-                    return Ok(ReadStatus::Closed);
-                }
-                if let Some(d) = deadline {
-                    if Instant::now() >= *d {
-                        return Err(DaemonError::TimedOut);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(DaemonError::from(e)),
-        }
-    }
-    Ok(ReadStatus::Complete)
-}
-
 /// Reads and dispatches frames until clean EOF, stop, or a protocol
 /// error (returned for the caller to turn into a closing reject).
 fn read_loop(
@@ -574,32 +493,18 @@ fn read_loop(
     reply: &SyncSender<Vec<u8>>,
 ) -> Result<(), DaemonError> {
     let mut payload = Vec::new();
+    let mut reader = stream;
     loop {
-        let mut deadline: Option<Instant> = None;
-        let mut header_bytes = [0u8; HEADER_LEN];
-        match read_full(
-            stream,
-            &mut header_bytes,
-            &shared.stop,
-            shared.frame_timeout,
-            &mut deadline,
-        )? {
-            ReadStatus::Closed => return Ok(()),
-            ReadStatus::Complete => {}
-        }
-        let header = FrameHeader::decode(&header_bytes, shared.max_frame_len)?;
-        payload.clear();
-        payload.resize(header.payload_len, 0);
-        match read_full(
-            stream,
+        let Some(header) = wire::read_frame_until::<FrameType>(
+            &mut reader,
+            shared.max_frame_len,
             &mut payload,
-            &shared.stop,
             shared.frame_timeout,
-            &mut deadline,
-        )? {
-            ReadStatus::Closed => return Ok(()),
-            ReadStatus::Complete => {}
-        }
+            &shared.stop,
+        )?
+        else {
+            return Ok(());
+        };
         shared.metrics.frame_received();
         match protocol::decode_request(header.frame_type, &payload)? {
             Request::Ping => {

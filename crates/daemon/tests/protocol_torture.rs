@@ -12,6 +12,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
+use ghsom_comms::WireError;
 use ghsom_daemon::protocol::{
     self, FrameHeader, FrameType, Request, Response, DEFAULT_MAX_FRAME_LEN, HEADER_LEN, MAGIC,
     MAX_REJECT_DETAIL_LEN, RECORD_WIRE_LEN, VERSION,
@@ -175,29 +176,34 @@ proptest! {
 #[test]
 fn corpus_header_violations_are_typed() {
     let max = DEFAULT_MAX_FRAME_LEN;
-    let cases: Vec<([u8; 12], DaemonError)> = vec![
+    let cases: Vec<([u8; 12], WireError)> = vec![
         (
             raw_header(*b"HTTP", VERSION, 0x01, 0, 4),
-            DaemonError::BadMagic,
+            WireError::BadMagic,
+        ),
+        // A GHSF (fleet plane) frame aimed at the record plane.
+        (
+            raw_header(*b"GHSF", VERSION, 0x01, 0, 4),
+            WireError::BadMagic,
         ),
         (
             raw_header(MAGIC, 2, 0x01, 0, 4),
-            DaemonError::UnsupportedVersion {
+            WireError::UnsupportedVersion {
                 found: 2,
                 supported: VERSION,
             },
         ),
         (
             raw_header(MAGIC, VERSION, 0x7F, 0, 4),
-            DaemonError::UnknownFrameType(0x7F),
+            WireError::UnknownFrameType(0x7F),
         ),
         (
             raw_header(MAGIC, VERSION, 0x01, 0xBEEF, 4),
-            DaemonError::ReservedNonZero,
+            WireError::ReservedNonZero,
         ),
         (
             raw_header(MAGIC, VERSION, 0x01, 0, (max as u32) + 1),
-            DaemonError::FrameTooLarge {
+            WireError::FrameTooLarge {
                 declared: max + 1,
                 max,
             },
@@ -222,14 +228,14 @@ fn corpus_batch_payload_violations_are_typed() {
     cut.extend_from_slice(b"abc");
     assert!(matches!(
         protocol::decode_request(FrameType::Batch, &cut),
-        Err(DaemonError::Truncated { .. })
+        Err(WireError::Truncated { .. })
     ));
 
     // Record count disagrees with the remaining bytes.
     let short = raw_batch_payload(7, 0, b"prod", &one, 2);
     assert!(matches!(
         protocol::decode_request(FrameType::Batch, &short),
-        Err(DaemonError::Truncated { needed, got })
+        Err(WireError::Truncated { needed, got })
             if needed == 2 * RECORD_WIRE_LEN && got == RECORD_WIRE_LEN
     ));
 
@@ -238,7 +244,7 @@ fn corpus_batch_payload_violations_are_typed() {
     trailing.push(0xAA);
     assert!(matches!(
         protocol::decode_request(FrameType::Batch, &trailing),
-        Err(DaemonError::Truncated { .. }) | Err(DaemonError::Malformed(_))
+        Err(WireError::Truncated { .. }) | Err(WireError::Malformed(_))
     ));
 
     // Hostile scalar fields, each a Malformed with a stable message.
@@ -295,7 +301,7 @@ fn corpus_batch_payload_violations_are_typed() {
         assert!(
             matches!(
                 protocol::decode_request(FrameType::Batch, &payload),
-                Err(DaemonError::Malformed(_))
+                Err(WireError::Malformed(_))
             ),
             "case `{what}` must be Malformed"
         );
@@ -304,7 +310,7 @@ fn corpus_batch_payload_violations_are_typed() {
     // A ping must carry no payload.
     assert!(matches!(
         protocol::decode_request(FrameType::Ping, &[0x00]),
-        Err(DaemonError::Malformed(_))
+        Err(WireError::Malformed(_))
     ));
 }
 
@@ -449,6 +455,18 @@ fn live_daemon_survives_hostile_bytes() {
         "slow-loris connection was not cut off by the frame timeout"
     );
 
+    // --- slow-loris trickle: one byte every 20 ms, never a silent tick ----
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(&good_header(0x01, 1024)).unwrap();
+    let start = Instant::now();
+    while s.write_all(&[0u8]).is_ok() {
+        assert!(
+            start.elapsed() < close_deadline,
+            "trickling connection outlived the frame timeout"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
     // --- byte-at-a-time partial writes, then silence ---------------------
     let mut s = TcpStream::connect(addr).unwrap();
     for b in good_header(0x01, 64).iter().take(7) {
@@ -476,6 +494,19 @@ fn live_daemon_survives_hostile_bytes() {
 
     daemon.shutdown();
     std::fs::remove_dir_all(&spool).ok();
+}
+
+/// A client read timeout that expires is a typed `TimedOut`, the same
+/// error the replicator reports for it.
+#[test]
+fn client_read_timeout_is_typed() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = DaemonClient::connect(listener.local_addr().unwrap()).unwrap();
+    let (_silent_peer, _) = listener.accept().unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    assert_eq!(client.ping(), Err(DaemonError::Wire(WireError::TimedOut)));
 }
 
 /// An unknown tenant is a typed reject on an otherwise healthy

@@ -78,6 +78,7 @@ impl FeatureSchema {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    // LINT-ALLOW(no-index): reachable by name only, through the `io::Error::kind()` calls of the shared frame readers; no serving path calls FeatureSchema::kind
     pub fn kind(&self, i: usize) -> FeatureKind {
         self.kinds[i]
     }

@@ -66,11 +66,19 @@ use traffic::ConnectionRecord;
 use crate::engine::Engine;
 use crate::ServeError;
 
-/// Records below this floor are scored inline regardless of the shard
-/// count: at ~600k rec/s a chunk this size costs ~100µs of walk time,
-/// comfortably above thread-spawn overhead, so tiny batches never pay
-/// for workers they cannot amortize.
-const MIN_SHARD_CHUNK: usize = 64;
+/// Smallest chunk [`chunk_len`] splits off: at ~600k rec/s a chunk this
+/// size costs ~100µs of walk time, comfortably above thread-spawn
+/// overhead, so tiny batches never pay for workers they cannot amortize.
+/// The fleet router applies the same floor per node.
+pub const MIN_SHARD_CHUNK: usize = 64;
+
+/// Contiguous chunk width for `n` records over at most `workers`
+/// workers: width = ceil(n / w), where `w` is as many workers as keep
+/// every chunk at [`MIN_SHARD_CHUNK`] records or more (at least one). A
+/// width of `n` or more means a single chunk.
+pub fn chunk_len(n: usize, workers: usize) -> usize {
+    n.div_ceil(workers.min(n / MIN_SHARD_CHUNK).max(1))
+}
 
 /// A fixed-width multi-core serving view over one [`Engine`].
 ///
@@ -130,17 +138,6 @@ impl ShardedEngine {
         self.shards
     }
 
-    /// Splits `n` records into at most [`ShardedEngine::shards`]
-    /// contiguous chunks of at least [`MIN_SHARD_CHUNK`] records,
-    /// returning the per-chunk length (`0` ⇒ serve inline, no workers).
-    fn chunk_len(&self, n: usize) -> usize {
-        let max_workers = self.shards.min(n / MIN_SHARD_CHUNK);
-        if max_workers <= 1 {
-            return 0;
-        }
-        n.div_ceil(max_workers)
-    }
-
     /// The scatter/merge core shared by both batched entry points: score
     /// contiguous chunks on scoped worker threads (each capped to one
     /// inner thread), then splice the results back in chunk order.
@@ -154,8 +151,9 @@ impl ShardedEngine {
         &self,
         records: &[ConnectionRecord],
     ) -> Result<Vec<HybridVerdict>, ServeError> {
-        let chunk = self.chunk_len(records.len());
-        if chunk == 0 {
+        // One chunk is served inline, with no workers.
+        let chunk = chunk_len(records.len(), self.shards);
+        if chunk >= records.len() {
             return self.engine.score_records(records);
         }
         let parts: Vec<Result<Vec<HybridVerdict>, ServeError>> = std::thread::scope(|scope| {
@@ -286,22 +284,33 @@ mod tests {
 
     #[test]
     fn chunk_len_respects_floor_and_width() {
-        let (engine, _) = fitted();
-        let sharded = ShardedEngine::new(engine, 4);
-        // Below the floor, or width 1: inline.
-        assert_eq!(sharded.chunk_len(0), 0);
-        assert_eq!(sharded.chunk_len(MIN_SHARD_CHUNK * 2 - 1), 0);
-        // Enough records for two workers but not four.
-        assert_eq!(sharded.chunk_len(MIN_SHARD_CHUNK * 2), MIN_SHARD_CHUNK);
-        // Plenty of records: all four shards, balanced split.
-        assert_eq!(sharded.chunk_len(1000), 250);
-        let one = ShardedEngine::from_shared(sharded.engine().clone(), 1);
-        assert_eq!(one.chunk_len(1_000_000), 0);
+        // (records, workers, width): the ShardedEngine cases, where a
+        // width >= records means "serve inline", then the FleetClient
+        // cases over healthy nodes.
+        let cases = [
+            // Below the floor, or width 1: one chunk.
+            (0, 4, 0),
+            (MIN_SHARD_CHUNK * 2 - 1, 4, MIN_SHARD_CHUNK * 2 - 1),
+            (1_000_000, 1, 1_000_000),
+            // Enough records for two workers but not four.
+            (MIN_SHARD_CHUNK * 2, 4, MIN_SHARD_CHUNK),
+            // Plenty of records: all four workers, balanced split.
+            (1000, 4, 250),
+            // Below the per-node floor everything stays on one node.
+            (63, 3, 63),
+            (127, 3, 127),
+            // At 3×64 the batch splits three ways.
+            (192, 3, 64),
+            // More nodes than useful chunks: width respects the floor.
+            (130, 16, 65),
+            (1, 8, 1),
+        ];
+        for (n, workers, width) in cases {
+            assert_eq!(chunk_len(n, workers), width, "n={n} workers={workers}");
+        }
         // Shard width clamps to at least 1.
-        assert_eq!(
-            ShardedEngine::from_shared(one.engine().clone(), 0).shards(),
-            1
-        );
+        let (engine, _) = fitted();
+        assert_eq!(ShardedEngine::new(engine, 0).shards(), 1);
     }
 
     #[test]
