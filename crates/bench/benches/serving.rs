@@ -124,16 +124,6 @@ fn bench_hierarchy_scoring(c: &mut Criterion) {
             b.iter(|| black_box(compiled.score_all(x).unwrap()));
         },
     );
-    // The pre-fusion frontier walk (per-map pruned search on every
-    // level): the within-host baseline the level-fused walk above is
-    // gated against in CI.
-    group.bench_with_input(
-        BenchmarkId::new("compiled_unfused", &maps),
-        &compiled,
-        |b, compiled| {
-            b.iter(|| black_box(compiled.score_all_view_unfused(x.view()).unwrap()));
-        },
-    );
     group.finish();
 }
 

@@ -1,5 +1,5 @@
 //! The multi-core serving plane: `ShardedEngine` throughput at 1/2/4/8
-//! shards, and the level-fused frontier walk on a deep hierarchy.
+//! shards, and the compiled walk on a deep hierarchy.
 //!
 //! Two groups:
 //!
@@ -13,14 +13,14 @@
 //!   kernel thread), so scaling is governed by the shard width alone,
 //!   not `GHSOM_THREADS`. Per-core efficiency = speedup ÷ min(shards,
 //!   cores); BENCH_5.json tracks both.
-//! * `fused_hierarchy` — leaf scoring on a synthetic 49-map, depth-3
+//! * `deep_hierarchy` — leaf scoring on a synthetic 49-map, depth-3
 //!   hierarchy (one 4×4 root, a 3×3 child per root unit, two 2×2
 //!   grandchildren per child map): exactly the many-tiny-sibling-maps
-//!   regime where per-map norm-pruning has nothing to prune. `fused` is
-//!   the level-fused frontier walk (all sibling maps of a depth searched
-//!   as one padded slab), `unfused` the per-map pruned walk it replaced,
-//!   `tree` the training-side hierarchy. The CI smoke gate requires
-//!   `fused` to never regress below `unfused`.
+//!   regime where per-map norm-pruning has nothing to prune and the
+//!   walk's fixed per-map cost shows. `walk` is the compiled arena walk
+//!   (one kernel call per visited map), `tree` the training-side
+//!   hierarchy. The CI smoke gate requires `walk` to stay at least 1.25×
+//!   faster than `tree`.
 //!
 //! Set `SHARD_BENCH_QUICK=1` for the CI smoke mode (small train/test
 //! split); full-size numbers are tracked in `BENCH_5.json`.
@@ -168,7 +168,7 @@ fn bench_shard_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fused_hierarchy(c: &mut Criterion) {
+fn bench_deep_hierarchy(c: &mut Criterion) {
     let n_train = if quick_mode() { 2_000 } else { 8_000 };
     let data = prepare(&RunConfig {
         n_train,
@@ -180,37 +180,28 @@ fn bench_fused_hierarchy(c: &mut Criterion) {
     let model = deep_model(x);
     let compiled = model.compile().unwrap();
 
-    // Sanity before timing: all three walks agree bit-for-bit.
+    // Sanity before timing: both walks agree bit-for-bit.
     let tree = model.score_matrix(x).unwrap();
-    let fused = compiled.score_all_view(x.view()).unwrap();
-    let unfused = compiled.score_all_view_unfused(x.view()).unwrap();
-    for ((a, b), c2) in tree.iter().zip(&fused).zip(&unfused) {
+    let walk = compiled.score_all_view(x.view()).unwrap();
+    for (a, b) in tree.iter().zip(&walk) {
         assert_eq!(a.to_bits(), b.to_bits());
-        assert_eq!(a.to_bits(), c2.to_bits());
     }
 
-    let mut group = c.benchmark_group("fused_hierarchy");
+    let mut group = c.benchmark_group("deep_hierarchy");
     group.throughput(Throughput::Elements(x.rows() as u64));
     let _pin = PinnedThreads::single();
     group.bench_with_input(BenchmarkId::new("tree", "49maps"), &model, |b, model| {
         b.iter(|| black_box(model.score_matrix(x).unwrap()));
     });
     group.bench_with_input(
-        BenchmarkId::new("fused", "49maps"),
+        BenchmarkId::new("walk", "49maps"),
         &compiled,
         |b, compiled| {
             b.iter(|| black_box(compiled.score_all_view(x.view()).unwrap()));
         },
     );
-    group.bench_with_input(
-        BenchmarkId::new("unfused", "49maps"),
-        &compiled,
-        |b, compiled| {
-            b.iter(|| black_box(compiled.score_all_view_unfused(x.view()).unwrap()));
-        },
-    );
     group.finish();
 }
 
-criterion_group!(benches, bench_shard_scaling, bench_fused_hierarchy);
+criterion_group!(benches, bench_shard_scaling, bench_deep_hierarchy);
 criterion_main!(benches);

@@ -743,10 +743,8 @@ fn pruned_nearest_one(
 }
 
 /// Exhaustive nearest-row search of **one sample** over one packed slab —
-/// the tiny-map path of [`gram_nearest_block_pruned`] exposed for callers
-/// that fuse many small codebooks into a strided arena (the serving
-/// plane's subtree-fused frontier walk) and pick each sample's slab by
-/// index.
+/// the per-sample tail of [`gram_nearest_exhaustive_block`], the tiny-map
+/// path of [`gram_nearest_block_pruned`].
 ///
 /// Same contracts as the pruned search: `wt` in [`pack_codebook`] layout,
 /// `wn_half`/`perm` parallel to its packed positions, winner reported by
@@ -795,12 +793,10 @@ pub fn gram_nearest_exhaustive(
 /// through the register-blocked `dots8_oct` tile so each weight-group
 /// load is amortized across eight samples. With only one or two unit
 /// groups per slab there is nothing to prune, so this is also the
-/// tiny-map fast path of [`gram_nearest_block_pruned`] — and the kernel
-/// the subtree-fused frontier walk batches its per-slot sample runs
-/// through (short runs fall back to the one-sample scan below; the
-/// sequence of `(proxy, original index)` candidate updates per sample is
-/// identical either way, so the processing route never changes a bit of
-/// the result).
+/// tiny-map fast path of [`gram_nearest_block_pruned`]. Short blocks
+/// fall back to the one-sample scan; the sequence of `(proxy, original
+/// index)` candidate updates per sample is identical either way, so the
+/// processing route never changes a bit of the result.
 pub fn gram_nearest_exhaustive_block(
     rows: &[f64],
     dim: usize,
@@ -1109,7 +1105,7 @@ mod tests {
         let (swt, swn, perm) = norm_sorted(&w);
         let units = w.rows();
         // Padded copy: one extra all-zero group with +∞ half-norms and
-        // u32::MAX perm entries — the fused-arena slot shape.
+        // u32::MAX perm entries, as a strided multi-map slab would use.
         let stride = units.div_ceil(GROUP) * GROUP + GROUP;
         let mut pwt = swt.clone();
         pwt.resize(stride * 3, 0.0);

@@ -14,6 +14,14 @@
 //! the sharded serving plane — can additionally pin the *calling thread* to
 //! a fixed budget with [`with_thread_cap`], which takes precedence over the
 //! environment and keeps shard workers from spawning nested worker pools.
+//!
+//! The budget is resolved only when there is a choice to make. A call of
+//! zero or one chunk runs inline on the calling thread without resolving
+//! it, and a cap of 1 resolves to 1 without reading the hardware count:
+//! `available_parallelism` reads cgroup files on Linux and costs tens of
+//! microseconds, more than a whole small-batch kernel call. Calls of two or
+//! more chunks resolve it every time; they spawn scoped threads, which cost
+//! more than the probe.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -77,9 +85,19 @@ pub fn resolve_threads(raw: Option<&str>, hardware: usize) -> usize {
 /// `0`, unset, or invalid values mean "auto" (all available cores); values
 /// above the core count are clamped down to it (see [`resolve_threads`] for
 /// the full policy).
+///
+/// The hardware count is read only when the answer depends on it: a cap of
+/// 1 returns 1 without asking. `available_parallelism` is not free — on
+/// Linux it reads the cgroup CPU quota files, tens of microseconds per call
+/// — and it is deliberately not cached, so a runtime change of
+/// `GHSOM_THREADS` or of the cgroup quota is seen by the next call.
 pub fn max_threads() -> usize {
+    let cap = THREAD_CAP.with(|c| c.get());
+    if cap == Some(1) {
+        return 1;
+    }
     let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if let Some(cap) = THREAD_CAP.with(|c| c.get()) {
+    if let Some(cap) = cap {
         return cap.min(hardware).max(1);
     }
     let raw = std::env::var("GHSOM_THREADS").ok();
@@ -122,6 +140,11 @@ where
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
+    // One chunk never spawns, so it must not pay for the thread-budget
+    // probe either (see `max_threads`): small batches dispatch for free.
+    if n <= 1 {
+        return (0..n).map(f).collect();
+    }
     let workers = max_threads().min(n);
     if workers <= 1 {
         return (0..n).map(f).collect();
@@ -188,8 +211,12 @@ mod tests {
 
     #[test]
     fn single_chunk_runs_inline() {
-        let out = par_map_chunks(3, 100, |r| r.len());
-        assert_eq!(out, vec![3]);
+        let caller = std::thread::current().id();
+        let run = || par_map_chunks(3, 100, |r| (r.len(), std::thread::current().id()));
+        for out in [run(), with_thread_cap(1, run), with_thread_cap(4, run)] {
+            assert_eq!(out, vec![(3, caller)], "one chunk must run on the caller");
+        }
+        assert_eq!(with_thread_cap(1, max_threads), 1);
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! lives in flat index tables addressed by `(node, unit)` through two
 //! prefix-sum offset tables. Projection is a pure arena walk: no node
 //! structs, no pointer chasing, no lazy norm-cache checks.
+//!
+//! There is one walk, written against the borrowed `ArenaRef` tables:
+//! level by level, one norm-pruned kernel call per visited map. The owned
+//! [`CompiledGhsom`] and the zero-copy [`crate::snapshot::SnapshotView`]
+//! run the very same code, so they agree bit for bit by construction and
+//! neither keeps derived walk tables beyond the snapshot's own.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -36,17 +42,6 @@ struct RawHop {
     unit: usize,
     d2: f64,
 }
-
-/// Maps up to this many packed unit groups are eligible for the fused
-/// frontier slabs. Norm pruning needs ≥ 3 groups before it can skip
-/// anything, and below ~8 groups (64 units) an exhaustive scan of the
-/// slot costs about what the pruned walk's bookkeeping does — so fusing
-/// trades nothing per map and wins back all the per-map dispatch.
-const FUSE_MAX_GROUPS: usize = 8;
-
-/// A depth level is only fused when at least this many maps qualify:
-/// fusing a single map would duplicate its slab for no batching gain.
-const FUSE_MIN_SLOTS: usize = 2;
 
 /// A trained GHSOM compiled for serving: immutable, flat, contiguous.
 ///
@@ -94,10 +89,6 @@ pub struct CompiledGhsom {
     /// consumers that scan prototypes (nearest-labelled fallbacks,
     /// explanations). Not part of the snapshot; rebuilt on first use.
     pub(crate) row_cache: RowWeightsCache,
-    /// Lazily-built fused frontier slabs for the deep-hierarchy walk
-    /// (see [`FusedPlan`]). Derived from the tables above, so — like
-    /// `row_cache` — it is invisible to equality and never serialized.
-    pub(crate) fused: FusedCache,
 }
 
 /// Interior-mutable holder for the row-major weights gather.
@@ -122,148 +113,6 @@ impl Clone for RowWeightsCache {
 }
 
 impl PartialEq for RowWeightsCache {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-/// One depth level's fused frontier arena: every *small* map at that
-/// hierarchy depth (≤ [`FUSE_MAX_GROUPS`] packed unit groups) padded to a
-/// common `stride` and laid out slot-major in one contiguous slab.
-///
-/// Each slot is a self-contained [`mathkit::batch::pack_codebook`] layout
-/// of `stride` unit capacity: the map's real packed tiles copied verbatim
-/// (so per-unit dot products are the very same tile reads as the unfused
-/// walk), padding lanes zero-weighted with `+∞` half-norms and `u32::MAX`
-/// permutation entries — dead by construction in the lexicographic
-/// `(proxy, original index)` winner update (see
-/// [`mathkit::batch::gram_nearest_exhaustive`]).
-#[derive(Debug, Clone)]
-pub(crate) struct FusedLevel {
-    /// Padded units per slot (a multiple of [`batch::GROUP`]).
-    stride: usize,
-    /// Slot-major packed codebooks, `slots × stride × dim` doubles.
-    wt: Vec<f64>,
-    /// Slot-major half-norms, `+∞` on padding lanes.
-    wn_half: Vec<f64>,
-    /// Slot-major packed→original permutations, `u32::MAX` on padding.
-    perm: Vec<u32>,
-}
-
-/// Subtree-fused walk plan: for each hierarchy depth ≥ 2 with enough
-/// small maps, one [`FusedLevel`] slab plus node → (level, slot) lookup
-/// tables extending the arena's prefix-sum addressing.
-///
-/// The deep-hierarchy problem this solves: below the root, frontier
-/// fragments are a handful of samples spread over dozens of tiny sibling
-/// maps, so the per-map batched kernel call (gather copy, chunk setup,
-/// band precompute) costs more than its distance math, and norm pruning
-/// cannot win on 2–4 unit groups. The level-by-level walk is uniform in
-/// depth — every active sample at step *k* sits on a depth-`k+1` map —
-/// so all of a level's fused maps can be served by **one** pass over one
-/// strided slab: samples group by destination slot with plain index
-/// arithmetic (no per-map kernel setup or band precompute), and each
-/// slot run flows through the register-blocked exhaustive kernel
-/// ([`mathkit::batch::gram_nearest_exhaustive_block`]) that amortizes
-/// every weight-tile load across eight samples. Results are
-/// bit-identical to the unfused walk because slots preserve the packed
-/// tiles and the exhaustive slot scan is exactly the pruned search's
-/// documented result semantics.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FusedPlan {
-    /// Map → slot within its level slab, [`NO_LINK`] when not fused.
-    slot_of_node: Vec<u32>,
-    /// Map → index into `levels`; only meaningful where `slot_of_node`
-    /// is not [`NO_LINK`].
-    level_of_node: Vec<u32>,
-    levels: Vec<FusedLevel>,
-}
-
-impl FusedPlan {
-    /// Derives the fused slabs from a validated arena.
-    pub(crate) fn build(a: &ArenaRef<'_>) -> FusedPlan {
-        let n = a.map_count();
-        let dim = a.dim;
-        let mut plan = FusedPlan {
-            slot_of_node: vec![NO_LINK; n],
-            level_of_node: vec![NO_LINK; n],
-            levels: Vec::new(),
-        };
-        let mut by_depth: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for m in 1..n {
-            if a.units(m).div_ceil(batch::GROUP) <= FUSE_MAX_GROUPS {
-                by_depth.entry(a.depth[m]).or_default().push(m);
-            }
-        }
-        for nodes in by_depth.into_values() {
-            if nodes.len() < FUSE_MIN_SLOTS {
-                continue;
-            }
-            let stride = nodes
-                .iter()
-                .map(|&m| a.units(m).div_ceil(batch::GROUP))
-                .max()
-                .expect("level has nodes") // LINT-ALLOW(no-panic): empty levels are skipped by the continue above
-                * batch::GROUP;
-            let li = plan.levels.len() as u32;
-            let mut lv = FusedLevel {
-                stride,
-                wt: vec![0.0; nodes.len() * stride * dim],
-                wn_half: vec![f64::INFINITY; nodes.len() * stride],
-                perm: vec![u32::MAX; nodes.len() * stride],
-            };
-            for (slot, &m) in nodes.iter().enumerate() {
-                let units = a.units(m);
-                let src = a.wt_of(m);
-                let w0 = slot * stride * dim;
-                lv.wt[w0..w0 + src.len()].copy_from_slice(src);
-                let u0 = slot * stride;
-                lv.wn_half[u0..u0 + units].copy_from_slice(a.wn_half_of(m));
-                lv.perm[u0..u0 + units].copy_from_slice(a.perm_of(m));
-                plan.slot_of_node[m] = slot as u32;
-                plan.level_of_node[m] = li;
-            }
-            plan.levels.push(lv);
-        }
-        plan
-    }
-
-    /// `true` when no level qualified for fusing (shallow or all-large
-    /// hierarchies) — the walk then skips the fused pass entirely.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.levels.is_empty()
-    }
-
-    /// The `(slab tables, slot range)` serving map `node`, if fused.
-    #[inline]
-    fn slot(&self, node: usize) -> Option<(&FusedLevel, usize)> {
-        match self.slot_of_node[node] {
-            NO_LINK => None,
-            s => Some((&self.levels[self.level_of_node[node] as usize], s as usize)),
-        }
-    }
-}
-
-/// Interior-mutable holder for the lazily-derived [`FusedPlan`] —
-/// same value-semantics contract as [`RowWeightsCache`]: compares equal
-/// to everything, skipped by the snapshot encoder, rebuilt on first use.
-#[derive(Debug, Default)]
-pub(crate) struct FusedCache(std::sync::OnceLock<FusedPlan>);
-
-impl Clone for FusedCache {
-    fn clone(&self) -> Self {
-        match self.0.get() {
-            Some(plan) => {
-                let lock = std::sync::OnceLock::new();
-                let _ = lock.set(plan.clone());
-                FusedCache(lock)
-            }
-            None => FusedCache::default(),
-        }
-    }
-}
-
-impl PartialEq for FusedCache {
     fn eq(&self, _other: &Self) -> bool {
         true
     }
@@ -407,24 +256,24 @@ impl<'a> ArenaRef<'a> {
         Ok(Projection::from_steps(steps))
     }
 
-    /// Level-by-level batched walk: per level, samples on **fused** maps
-    /// (see [`FusedPlan`]) resolve in slot-grouped exhaustive blocks over
-    /// the level's strided slab, while samples on large unfused maps go
-    /// through the per-map norm-pruned pass
-    /// ([`batch::gram_nearest_block_pruned`]); both are chunk-parallel
-    /// under the `rayon` feature. `visit` sees every `(sample, hop)`
-    /// pair, root first per sample, with the kernel's clamped **squared**
-    /// distance — callers finalize the `sqrt` themselves, which lets the
-    /// bulk-scoring path pay it once per sample instead of once per hop.
+    /// Level-by-level batched walk: per level, the frontier groups by map
+    /// and each map's samples resolve in one norm-pruned pass
+    /// ([`batch::gram_nearest_block_pruned`]), chunk-parallel under the
+    /// `rayon` feature. `visit` sees every `(sample, hop)` pair, root first
+    /// per sample, with the kernel's clamped **squared** distance — callers
+    /// finalize the `sqrt` themselves, which lets the bulk-scoring path pay
+    /// it once per sample instead of once per hop.
     ///
-    /// With `fused: None` every map takes the per-map pruned pass — the
-    /// reference path the fused walk is property-tested bit-identical
-    /// against (and the only path available to the zero-copy
-    /// [`crate::snapshot::SnapshotView`], which owns no derived tables).
+    /// Deep hierarchies split the frontier into many small per-map
+    /// fragments, so the walk makes one kernel call per visited map. That
+    /// is cheap because a fragment of at most [`WALK_CHUNK`] samples is a
+    /// single chunk, which [`parallel::par_map_chunks`] runs inline without
+    /// resolving a thread budget; tiny maps take the pruned kernel's
+    /// exhaustive fast path.
     ///
     /// Unlike the tree walker there is no per-map `Matrix` materialization:
     /// the root level runs directly on the input's flat buffer, and deeper
-    /// levels gather only their active rows into reused scratch vectors.
+    /// levels gather only their active rows into a reused scratch vector.
     /// The input is a **borrowed**
     /// [`MatrixView`], so callers that already hold samples contiguously
     /// (the reused feature-transform buffer of the fused serving path)
@@ -432,7 +281,6 @@ impl<'a> ArenaRef<'a> {
     fn walk<F: FnMut(usize, RawHop)>(
         &self,
         data: MatrixView<'_>,
-        fused: Option<&FusedPlan>,
         mut visit: F,
     ) -> Result<(), ServeError> {
         if data.rows() == 0 {
@@ -479,9 +327,6 @@ impl<'a> ArenaRef<'a> {
             }
         }
 
-        // Deeper levels. Every map's depth is its parent's + 1 (validated),
-        // so all nodes in `nodes` share a depth at every iteration — which
-        // is what lets one fused level slab serve the whole frontier.
         let mut gather: Vec<f64> = Vec::new();
         while !active.is_empty() {
             let mut results: Vec<batch::Nearest> = vec![
@@ -491,83 +336,11 @@ impl<'a> ArenaRef<'a> {
                 };
                 active.len()
             ];
-            // Split the frontier: fused maps resolve sample-major below;
-            // the rest (rare large deep maps) group by node as before.
-            let mut plain: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            let mut fused_idx: Vec<u32> = Vec::new();
+            let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             for (i, &node) in nodes.iter().enumerate() {
-                match fused {
-                    Some(plan) if plan.slot_of_node[node as usize] != NO_LINK => {
-                        fused_idx.push(i as u32);
-                    }
-                    _ => plain.entry(node as usize).or_default().push(i),
-                }
+                by_node.entry(node as usize).or_default().push(i);
             }
-            if !fused_idx.is_empty() {
-                let plan = fused.expect("fused_idx only fills under a plan"); // LINT-ALLOW(no-panic): fused_idx is pushed only in the match arm where the plan is Some
-                let found = parallel::par_map_chunks(fused_idx.len(), WALK_CHUNK, |r| {
-                    let idxs = &fused_idx[r];
-                    // Group the chunk's samples by destination map: each
-                    // run sharing a slot becomes one contiguous exhaustive
-                    // block over that slot's tiles, so the 8-sample
-                    // register-blocked kernel amortizes every weight-group
-                    // load across the run (the dense-frontier case). A
-                    // fragmented frontier degenerates to one-sample runs
-                    // served by the blocked kernel's scalar tail — the
-                    // same per-sample candidate sequence either way, so
-                    // the route never changes a bit of the result.
-                    let mut order: Vec<u32> = (0..idxs.len() as u32).collect();
-                    order.sort_unstable_by_key(|&p| (nodes[idxs[p as usize] as usize], p));
-                    let mut out = vec![
-                        batch::Nearest {
-                            unit: 0,
-                            d2: f64::INFINITY,
-                        };
-                        idxs.len()
-                    ];
-                    let mut gathered: Vec<f64> = Vec::new();
-                    let mut run_out: Vec<batch::Nearest> = Vec::new();
-                    let mut run0 = 0usize;
-                    while run0 < order.len() {
-                        let node = nodes[idxs[order[run0] as usize] as usize];
-                        let mut run1 = run0 + 1;
-                        while run1 < order.len()
-                            && nodes[idxs[order[run1] as usize] as usize] == node
-                        {
-                            run1 += 1;
-                        }
-                        let (lv, slot) = plan.slot(node as usize).expect("partitioned as fused"); // LINT-ALLOW(no-panic): every node in fused_idx was partitioned under slot_of_node != NO_LINK
-                        let u0 = slot * lv.stride;
-                        let u1 = u0 + lv.stride;
-                        let run = &order[run0..run1];
-                        gathered.clear();
-                        gathered.reserve(run.len() * dim);
-                        for &p in run {
-                            gathered.extend_from_slice(
-                                data.row(active[idxs[p as usize] as usize] as usize),
-                            );
-                        }
-                        run_out.clear();
-                        batch::gram_nearest_exhaustive_block(
-                            &gathered,
-                            dim,
-                            &lv.wt[u0 * dim..u1 * dim],
-                            &lv.wn_half[u0..u1],
-                            &lv.perm[u0..u1],
-                            &mut run_out,
-                        );
-                        for (&p, m) in run.iter().zip(&run_out) {
-                            out[p as usize] = *m;
-                        }
-                        run0 = run1;
-                    }
-                    out
-                });
-                for (&i, m) in fused_idx.iter().zip(found.iter().flatten()) {
-                    results[i as usize] = *m;
-                }
-            }
-            for (&node, idxs) in &plain {
+            for (&node, idxs) in &by_node {
                 let rows: &[f64] = if idxs.len() == n {
                     // Every sample went to one child map: `active[i] == i`,
                     // serve straight from the input buffer again.
@@ -625,16 +398,12 @@ impl<'a> ArenaRef<'a> {
         Ok(())
     }
 
-    pub fn project_batch(
-        &self,
-        data: MatrixView<'_>,
-        fused: Option<&FusedPlan>,
-    ) -> Result<Vec<Projection>, ServeError> {
+    pub fn project_batch(&self, data: MatrixView<'_>) -> Result<Vec<Projection>, ServeError> {
         if data.rows() == 0 {
             return Ok(Vec::new());
         }
         let mut steps: Vec<Vec<PathStep>> = vec![Vec::new(); data.rows()];
-        self.walk(data, fused, |sample, hop| {
+        self.walk(data, |sample, hop| {
             steps[sample].push(PathStep {
                 node: hop.node,
                 unit: hop.unit,
@@ -647,16 +416,12 @@ impl<'a> ArenaRef<'a> {
 
     /// Leaf quantization error per row without materializing projections —
     /// the detectors' hot bulk-scoring path.
-    pub fn score_all(
-        &self,
-        data: MatrixView<'_>,
-        fused: Option<&FusedPlan>,
-    ) -> Result<Vec<f64>, ServeError> {
+    pub fn score_all(&self, data: MatrixView<'_>) -> Result<Vec<f64>, ServeError> {
         let mut qe = vec![0.0; data.rows()];
         // Per sample the walk visits hops root→leaf, so the last write is
         // the leaf d²; finalize the square root once per sample rather
         // than per hop (the interior hops' roots would be thrown away).
-        self.walk(data, fused, |sample, hop| qe[sample] = hop.d2)?;
+        self.walk(data, |sample, hop| qe[sample] = hop.d2)?;
         for v in &mut qe {
             *v = v.max(0.0).sqrt();
         }
@@ -848,7 +613,6 @@ impl CompiledGhsom {
             perm: Vec::new(),
             wt: Vec::new(),
             row_cache: RowWeightsCache::default(),
-            fused: FusedCache::default(),
         };
         out.unit_off.push(0);
         out.wt_off.push(0);
@@ -982,14 +746,6 @@ impl CompiledGhsom {
         &self.unit_mqe[self.unit_off[node] as usize..self.unit_off[node + 1] as usize]
     }
 
-    /// The lazily-built fused walk plan, or `None` when the hierarchy has
-    /// no level worth fusing (the walk then skips the fused pass without
-    /// probing empty tables).
-    fn fused_plan(&self) -> Option<&FusedPlan> {
-        let plan = self.fused.0.get_or_init(|| FusedPlan::build(&self.arena()));
-        (!plan.is_empty()).then_some(plan)
-    }
-
     /// Projects one sample root→leaf (bit-identical to the source tree).
     ///
     /// # Errors
@@ -1006,7 +762,7 @@ impl CompiledGhsom {
     ///
     /// [`ServeError::DimensionMismatch`] on samples of the wrong width.
     pub fn project_batch(&self, data: &Matrix) -> Result<Vec<Projection>, ServeError> {
-        self.arena().project_batch(data.view(), self.fused_plan())
+        self.arena().project_batch(data.view())
     }
 
     /// [`CompiledGhsom::project_batch`] over a **borrowed** matrix view —
@@ -1018,7 +774,7 @@ impl CompiledGhsom {
     ///
     /// [`ServeError::DimensionMismatch`] on samples of the wrong width.
     pub fn project_batch_view(&self, data: MatrixView<'_>) -> Result<Vec<Projection>, ServeError> {
-        self.arena().project_batch(data, self.fused_plan())
+        self.arena().project_batch(data)
     }
 
     /// Leaf quantization error of every row without materializing
@@ -1028,7 +784,7 @@ impl CompiledGhsom {
     ///
     /// [`ServeError::DimensionMismatch`] on samples of the wrong width.
     pub fn score_all(&self, data: &Matrix) -> Result<Vec<f64>, ServeError> {
-        self.arena().score_all(data.view(), self.fused_plan())
+        self.arena().score_all(data.view())
     }
 
     /// [`CompiledGhsom::score_all`] over a borrowed matrix view (see
@@ -1038,32 +794,7 @@ impl CompiledGhsom {
     ///
     /// [`ServeError::DimensionMismatch`] on samples of the wrong width.
     pub fn score_all_view(&self, data: MatrixView<'_>) -> Result<Vec<f64>, ServeError> {
-        self.arena().score_all(data, self.fused_plan())
-    }
-
-    /// [`CompiledGhsom::project_batch_view`] forced through the per-map
-    /// pruned walk, bypassing the fused frontier slabs — the reference
-    /// path for differential tests and the fused-vs-unfused benchmark.
-    /// Results are bit-identical to the fused walk by construction.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::DimensionMismatch`] on samples of the wrong width.
-    pub fn project_batch_view_unfused(
-        &self,
-        data: MatrixView<'_>,
-    ) -> Result<Vec<Projection>, ServeError> {
-        self.arena().project_batch(data, None)
-    }
-
-    /// [`CompiledGhsom::score_all_view`] forced through the per-map
-    /// pruned walk (see [`CompiledGhsom::project_batch_view_unfused`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::DimensionMismatch`] on samples of the wrong width.
-    pub fn score_all_view_unfused(&self, data: MatrixView<'_>) -> Result<Vec<f64>, ServeError> {
-        self.arena().score_all(data, None)
+        self.arena().score_all(data)
     }
 }
 

@@ -265,7 +265,6 @@ impl CompiledGhsom {
             perm: get_u32s(SEC_PERM)?,
             wt: get_f64s(SEC_WT)?,
             row_cache: Default::default(),
-            fused: Default::default(),
         };
         meta.check_against(&out.arena())?;
         out.arena().validate()?;
@@ -645,7 +644,7 @@ impl<'a> SnapshotView<'a> {
     ///
     /// [`ServeError::DimensionMismatch`] on samples of the wrong width.
     pub fn project_batch(&self, data: &Matrix) -> Result<Vec<Projection>, ServeError> {
-        self.arena.project_batch(data.view(), None)
+        self.arena.project_batch(data.view())
     }
 
     /// [`SnapshotView::project_batch`] over a borrowed matrix view — the
@@ -656,7 +655,7 @@ impl<'a> SnapshotView<'a> {
     ///
     /// [`ServeError::DimensionMismatch`] on samples of the wrong width.
     pub fn project_batch_view(&self, data: MatrixView<'_>) -> Result<Vec<Projection>, ServeError> {
-        self.arena.project_batch(data, None)
+        self.arena.project_batch(data)
     }
 
     /// Leaf quantization error of every row.
@@ -665,7 +664,7 @@ impl<'a> SnapshotView<'a> {
     ///
     /// [`ServeError::DimensionMismatch`] on samples of the wrong width.
     pub fn score_all(&self, data: &Matrix) -> Result<Vec<f64>, ServeError> {
-        self.arena.score_all(data.view(), None)
+        self.arena.score_all(data.view())
     }
 
     /// [`SnapshotView::score_all`] over a borrowed matrix view.
@@ -674,7 +673,7 @@ impl<'a> SnapshotView<'a> {
     ///
     /// [`ServeError::DimensionMismatch`] on samples of the wrong width.
     pub fn score_all_view(&self, data: MatrixView<'_>) -> Result<Vec<f64>, ServeError> {
-        self.arena.score_all(data, None)
+        self.arena.score_all(data)
     }
 
     /// Materializes the view into an owned [`CompiledGhsom`].
@@ -697,7 +696,6 @@ impl<'a> SnapshotView<'a> {
             perm: self.arena.perm.to_vec(),
             wt: self.arena.wt.to_vec(),
             row_cache: Default::default(),
-            fused: Default::default(),
         }
     }
 }
@@ -732,22 +730,22 @@ impl Scorer for SnapshotView<'_> {
     }
 
     fn project_batch(&self, data: &Matrix) -> Result<Vec<Projection>, GhsomError> {
-        Ok(self.arena.project_batch(data.view(), None)?)
+        Ok(self.arena.project_batch(data.view())?)
     }
 
     fn project_batch_view(
         &self,
         data: mathkit::MatrixView<'_>,
     ) -> Result<Vec<Projection>, GhsomError> {
-        Ok(self.arena.project_batch(data, None)?)
+        Ok(self.arena.project_batch(data)?)
     }
 
     fn score_matrix(&self, data: &Matrix) -> Result<Vec<f64>, GhsomError> {
-        Ok(self.arena.score_all(data.view(), None)?)
+        Ok(self.arena.score_all(data.view())?)
     }
 
     fn score_matrix_view(&self, data: mathkit::MatrixView<'_>) -> Result<Vec<f64>, GhsomError> {
-        Ok(self.arena.score_all(data, None)?)
+        Ok(self.arena.score_all(data)?)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Property tests of the serving plane: compiled-vs-tree equivalence on
-//! random hierarchies (including duplicate-weight ties), fused-vs-unfused
-//! walk bit-identity, sharded-vs-single-engine bit-identity, snapshot
+//! random hierarchies (including duplicate-weight ties), batched-walk vs
+//! tree and per-sample bit-identity across the kernels' batch-size
+//! boundaries, sharded-vs-single-engine bit-identity, snapshot
 //! roundtrips, and typed errors on truncated/corrupted/wrong-version
 //! bytes.
 
@@ -74,10 +75,10 @@ fn random_model(seed: u64, dim: usize, with_ties: bool) -> GhsomModel {
     GhsomModel::from_parts(GhsomConfig::default(), mean, rng.gen_range(0.0..3.0), nodes).unwrap()
 }
 
-/// Like [`random_model`], but map sizes mix small fusable maps with
-/// occasional large ones (> 64 units — more groups than the fusion
-/// cutoff), so deep levels exercise the split frontier: some siblings
-/// served from the fused slab, others from the plain per-map pruned walk.
+/// Like [`random_model`], but map sizes mix tiny maps (≤ 9 units, the
+/// pruned kernel's exhaustive fast path) with occasional large ones
+/// (72..120 units, where norm pruning actually skips groups), so one
+/// frontier level spreads over maps served by both kernel routes.
 fn random_model_mixed(seed: u64, dim: usize) -> GhsomModel {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x517E_D0D0);
     struct Pending {
@@ -93,7 +94,7 @@ fn random_model_mixed(seed: u64, dim: usize) -> GhsomModel {
     while i < specs.len() {
         let spec = &specs[i];
         let (rows, cols) = if rng.gen_range(0..100) < 30 {
-            // Too many groups to fuse: 72..120 units.
+            // Enough groups for norm pruning: 72..120 units.
             (rng.gen_range(9..13usize), rng.gen_range(8..10usize))
         } else {
             let r = rng.gen_range(1..4usize);
@@ -277,37 +278,43 @@ proptest! {
         }
     }
 
-    /// The level-fused frontier walk is **bit-identical** to the plain
-    /// per-map pruned walk — full paths (nodes, units, distances) and
-    /// leaf scores — on hierarchies that mix fusable small maps with
-    /// oversized ones, so both sides of the per-level frontier split are
-    /// exercised, ties included.
+    /// The batched walk is **bit-identical** to the tree model and to the
+    /// per-sample walk — full paths (nodes, units, distances) and leaf
+    /// scores — on hierarchies that mix tiny and large maps, ties
+    /// included. Batch sizes straddle the pruned kernel's scalar/oct-block
+    /// boundary (7, 8, 9 samples) and the walk's two-chunk case (513).
     #[test]
-    fn fused_walk_matches_unfused_bitwise(seed in 0u64..160, dim in 2usize..6) {
+    fn batched_walk_matches_tree_and_single_bitwise(seed in 0u64..160, dim in 2usize..6) {
         let model = if seed % 2 == 0 {
             random_model_mixed(seed, dim)
         } else {
-            // Small-maps-only hierarchies (with duplicate-row ties):
-            // everything below the root fuses.
+            // Small-maps-only hierarchies with duplicate-row ties.
             random_model(seed, dim, true)
         };
         let compiled = model.compile().unwrap();
-        let data = random_inputs(&model, seed, 48);
-        let fused = compiled.project_batch_view(data.view()).unwrap();
-        let plain = compiled.project_batch_view_unfused(data.view()).unwrap();
-        prop_assert_eq!(fused.len(), plain.len());
-        for (f, p) in fused.iter().zip(&plain) {
-            prop_assert_eq!(f.steps().len(), p.steps().len());
-            for (a, b) in f.steps().iter().zip(p.steps()) {
-                prop_assert_eq!(a.node, b.node);
-                prop_assert_eq!(a.unit, b.unit);
-                prop_assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+        for n in [1usize, 7, 8, 9, 513] {
+            let data = random_inputs(&model, seed ^ n as u64, n);
+            let tree = model.project_batch(&data).unwrap();
+            let flat = compiled.project_batch_view(data.view()).unwrap();
+            prop_assert_eq!(tree.len(), flat.len());
+            for ((t, f), x) in tree.iter().zip(&flat).zip(data.iter_rows()) {
+                let single = compiled.project(x).unwrap();
+                for other in [t, &single] {
+                    prop_assert_eq!(f.steps().len(), other.steps().len());
+                    for (a, b) in f.steps().iter().zip(other.steps()) {
+                        prop_assert_eq!(a.node, b.node);
+                        prop_assert_eq!(a.unit, b.unit);
+                        prop_assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+                    }
+                }
             }
-        }
-        let fused_scores = compiled.score_all_view(data.view()).unwrap();
-        let plain_scores = compiled.score_all_view_unfused(data.view()).unwrap();
-        for (a, b) in fused_scores.iter().zip(&plain_scores) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+            let scores = compiled.score_all_view(data.view()).unwrap();
+            let tree_scores = model.score_matrix(&data).unwrap();
+            prop_assert_eq!(scores.len(), n);
+            for ((s, t), p) in scores.iter().zip(&tree_scores).zip(&flat) {
+                prop_assert_eq!(s.to_bits(), t.to_bits());
+                prop_assert_eq!(s.to_bits(), p.leaf_qe().to_bits());
+            }
         }
     }
 }
